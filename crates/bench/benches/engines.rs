@@ -107,7 +107,7 @@ fn bench_engine_wall(c: &mut Criterion) {
     let faults = random_faults(6, 5, &mut rng);
     let plan = FtPlan::new(&faults).unwrap();
     let data = random_keys(M, &mut rng);
-    for engine in [EngineKind::Threaded, EngineKind::Seq, EngineKind::Par] {
+    for engine in [EngineKind::Seq, EngineKind::Par] {
         group.bench_function(format!("{engine:?}"), |b| {
             let config = FtConfig {
                 protocol: Protocol::HalfExchange,

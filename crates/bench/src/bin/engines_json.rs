@@ -1,15 +1,12 @@
-//! Engine shoot-out: wall-clock time of the **threaded** MIMD engine, the
-//! **sequential** event-driven engine, and the **parallel** work-stealing
-//! engine running the identical full fault-tolerant sort, emitted as
-//! machine-readable `BENCH_engines.json`.
+//! Engine shoot-out: wall-clock time of the **sequential** round/frontier
+//! engine and the **parallel** work-stealing engine running the identical
+//! full fault-tolerant sort, emitted as machine-readable
+//! `BENCH_engines.json`.
 //!
-//! All three engines produce byte-identical simulated results (sorted
-//! output, virtual time, operation counts — asserted here per run); the
-//! only thing that differs is how long the host takes to compute them. The
-//! sequential engine beats the threaded one because it replaces `2^n` OS
-//! threads + channel handoffs with one lowest-virtual-clock scheduler loop
-//! and zero-allocation buffer reuse; the parallel engine additionally
-//! work-steals cache-sized node shards across a worker pool, so its
+//! Both engines produce byte-identical simulated results (sorted output,
+//! virtual time, operation counts — asserted here per run); the only thing
+//! that differs is how long the host takes to compute them. The parallel
+//! engine work-steals cache-sized node shards across a worker pool, so its
 //! advantage over `seq` scales with `host_cores` (reported in the JSON).
 //! Each `n` is benchmarked at several worker counts — the
 //! `{1, 2, 4, host_cores}` ladder, deduplicated — one JSON row per
@@ -73,7 +70,6 @@ struct Row {
     /// Total link-queueing wait over all nodes (µs); 0 under the
     /// uncontended model by construction.
     wait_total_us: f64,
-    threaded_s: f64,
     seq_s: f64,
     par_s: f64,
     /// Per-phase virtual time, `(name, max-over-nodes µs)`, from the
@@ -189,20 +185,10 @@ fn run<K: GenKey>(mut cfg: Cfg) {
         cfg.seed, cfg.key_type
     );
     println!(
-        "{:>3} {:>3} {:>7} {:>12} {:>10} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "n",
-        "r",
-        "workers",
-        "link",
-        "virtual ms",
-        "wait ms",
-        "threaded s",
-        "seq s",
-        "par s",
-        "seq/thr",
-        "par/seq"
+        "{:>3} {:>3} {:>7} {:>12} {:>10} {:>10} {:>12} {:>12} {:>9}",
+        "n", "r", "workers", "link", "virtual ms", "wait ms", "seq s", "par s", "par/seq"
     );
-    println!("{}", "-".repeat(110));
+    println!("{}", "-".repeat(88));
 
     let mut rows = Vec::new();
     for &n in &cfg.sizes {
@@ -229,21 +215,7 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                 }
                 (best, outcome.expect("trials ≥ 1"))
             };
-            let (threaded_s, threaded) = time(EngineKind::Threaded, None);
             let (seq_s, seq) = time(EngineKind::Seq, None);
-            // the engines must be indistinguishable in simulated results
-            assert_eq!(
-                threaded.sorted, seq.sorted,
-                "n={n} {link_model}: threaded output differs"
-            );
-            assert_eq!(
-                threaded.time_us, seq.time_us,
-                "n={n} {link_model}: threaded time differs"
-            );
-            assert_eq!(
-                threaded.stats, seq.stats,
-                "n={n} {link_model}: threaded counts differ"
-            );
             // One extra (untimed) observed run per (n, link model): its
             // RunReport supplies the per-phase virtual-time split and the
             // link-wait total, and the observability exports reuse it — so
@@ -281,6 +253,7 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                 let (workers_effective, shard_size, _) =
                     hypercube::sim::par::schedule_for(plan.live_count(), Some(workers), None);
                 let (par_s, par) = time(EngineKind::Par, Some(workers));
+                // the engines must be indistinguishable in simulated results
                 assert_eq!(
                     par.sorted, seq.sorted,
                     "n={n} {link_model} workers={workers}: par sorted output differs"
@@ -294,18 +267,15 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                     "n={n} {link_model} workers={workers}: par operation counts differ"
                 );
                 println!(
-                    "{:>3} {:>3} {:>7} {:>12} {:>10.1} {:>10.1} {:>12.3} {:>12.3} {:>12.3} \
-                     {:>8.1}× {:>8.2}×",
+                    "{:>3} {:>3} {:>7} {:>12} {:>10.1} {:>10.1} {:>12.3} {:>12.3} {:>8.2}×",
                     n,
                     r,
                     workers,
                     link_model.to_string(),
                     seq.time_us / 1000.0,
                     wait_total_us / 1000.0,
-                    threaded_s,
                     seq_s,
                     par_s,
-                    threaded_s / seq_s,
                     seq_s / par_s
                 );
                 rows.push(Row {
@@ -318,7 +288,6 @@ fn run<K: GenKey>(mut cfg: Cfg) {
                     link_model,
                     virtual_us: seq.time_us,
                     wait_total_us,
-                    threaded_s,
                     seq_s,
                     par_s,
                     phases: phases.clone(),
@@ -435,9 +404,8 @@ fn render_json(cfg: &Cfg, host_cores: usize, rows: &[Row], kernels: &[KernelRow]
             "    {{\"n\": {}, \"r\": {}, \"m\": {}, \"workers\": {}, \
              \"workers_effective\": {}, \"shard_size\": {}, \"link_model\": \"{}\", \
              \"virtual_us\": {:.3}, \"wait_total_us\": {:.3}, \
-             \"threaded_wall_s\": {:.6}, \"seq_wall_s\": {:.6}, \"par_wall_s\": {:.6}, \
-             \"speedups\": {{\"seq_over_threaded\": {:.2}, \"par_over_threaded\": {:.2}, \
-             \"par_over_seq\": {:.2}}}, \"phases\": {{",
+             \"seq_wall_s\": {:.6}, \"par_wall_s\": {:.6}, \
+             \"speedups\": {{\"par_over_seq\": {:.2}}}, \"phases\": {{",
             row.n,
             row.r,
             row.m_total,
@@ -447,11 +415,8 @@ fn render_json(cfg: &Cfg, host_cores: usize, rows: &[Row], kernels: &[KernelRow]
             row.link_model,
             row.virtual_us,
             row.wait_total_us,
-            row.threaded_s,
             row.seq_s,
             row.par_s,
-            row.threaded_s / row.seq_s,
-            row.threaded_s / row.par_s,
             row.seq_s / row.par_s
         );
         for (j, (name, us)) in row.phases.iter().enumerate() {

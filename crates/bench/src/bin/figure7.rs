@@ -16,7 +16,7 @@
 //! ```
 
 use ft_bench::{parse_engine, random_faults, random_keys_typed, GenKey, ObsFlags, DEFAULT_SEED};
-use ftsort::bitonic::{bitonic_sort_threaded, Protocol};
+use ftsort::bitonic::{bitonic_sort_with_engine, Protocol};
 use ftsort::ftsort::{fault_tolerant_sort_observed, FtConfig, FtPlan};
 use ftsort::seq::{KeyPair, KeyType};
 use hypercube::cost::CostModel;
@@ -184,7 +184,7 @@ fn figure7_panel<K: GenKey>(
             }
         }
         for t in 1..n {
-            let out = bitonic_sort_threaded(
+            let out = bitonic_sort_with_engine(
                 Hypercube::new(n - t),
                 cost,
                 data.clone(),

@@ -94,13 +94,13 @@ pub fn rng(seed: u64) -> StdRng {
 /// results; the flag only changes how fast the reports regenerate.
 pub fn parse_engine(value: Option<String>) -> hypercube::sim::EngineKind {
     let Some(v) = value else {
-        eprintln!("--engine requires a value (threaded|seq|par)");
+        eprintln!("--engine requires a value (seq|par)");
         std::process::exit(2);
     };
     match hypercube::sim::EngineKind::parse(&v) {
         Some(kind) => kind,
         None => {
-            eprintln!("unknown engine '{v}' (threaded|seq|par)");
+            eprintln!("unknown engine '{v}' (seq|par)");
             std::process::exit(2);
         }
     }
@@ -295,12 +295,13 @@ impl ObsFlags {
             threads: self.threads,
             ..*base
         };
-        let _ = ftsort::ftsort::fault_tolerant_sort_sched(
+        let _ = ftsort::ftsort::fault_tolerant_sort_instrumented(
             plan,
             &config,
             data,
             None,
-            std::sync::Arc::clone(&profiler),
+            None,
+            Some(std::sync::Arc::clone(&profiler)),
         );
         if let Some(profile) = profiler.take() {
             self.sched_report = Some(profile.report());

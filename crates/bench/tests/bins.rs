@@ -92,14 +92,20 @@ fn scaling_smoke() {
 
 #[test]
 fn breakdown_engine_flag_smoke() {
-    // every engine must produce identical simulated output text
+    // both engines must produce identical simulated output text
     let seq = breakdown(&["--n", "3", "--m", "500", "--seed", "1", "--engine", "seq"]);
-    let thr = breakdown(&[
-        "--n", "3", "--m", "500", "--seed", "1", "--engine", "threaded",
-    ]);
     let par = breakdown(&["--n", "3", "--m", "500", "--seed", "1", "--engine", "par"]);
-    assert_eq!(seq, thr);
     assert_eq!(seq, par);
+    // an engine that does not exist is a usage error (exit 2) naming the
+    // ones that do, not a panic
+    let out = Command::new(env!("CARGO_BIN_EXE_breakdown"))
+        .args(["--n", "3", "--m", "500", "--engine", "threaded"])
+        .output()
+        .expect("breakdown launches");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown engine 'threaded' (seq|par)"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]
@@ -115,7 +121,6 @@ fn engines_json_smoke() {
     assert!(json.contains("\"bench\": \"engines\""), "{json}");
     assert!(json.contains("\"host_cores\""), "{json}");
     assert!(json.contains("\"n\": 3"), "{json}");
-    assert!(json.contains("\"threaded_wall_s\""), "{json}");
     assert!(json.contains("\"seq_wall_s\""), "{json}");
     assert!(json.contains("\"par_wall_s\""), "{json}");
     assert!(json.contains("\"par_over_seq\""), "{json}");

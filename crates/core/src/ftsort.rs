@@ -118,9 +118,9 @@ pub struct FtConfig {
     /// The routing algorithm charging message hops (oracle shortest paths
     /// vs distributed depth-first adaptive routing).
     pub router: hypercube::sim::engine::RouterKind,
-    /// Which execution engine simulates the run (the sequential event-driven
-    /// scheduler by default; the threaded MIMD engine as a cross-check).
-    /// Both produce identical sorted output, virtual times and statistics.
+    /// Which execution engine simulates the run: the sequential round/frontier
+    /// scheduler (default) or its work-stealing parallel twin. Both produce
+    /// byte-identical sorted output, virtual times, statistics and traces.
     pub engine: EngineKind,
     /// The link pricing model (uncontended paper model by default; the
     /// contended model serializes messages per directed link and records
@@ -298,7 +298,7 @@ pub fn fault_tolerant_sort_configured<K>(
 where
     K: Key,
 {
-    fault_tolerant_sort_profiled(plan, config, data).0
+    fault_tolerant_sort_observed(plan, config, data).0
 }
 
 /// Virtual-time attribution of a run to the algorithm's phases.
@@ -346,20 +346,7 @@ impl PhaseBreakdown {
 }
 
 /// [`fault_tolerant_sort_configured`] that also reports where the virtual
-/// time went.
-pub fn fault_tolerant_sort_profiled<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-) -> (SortOutcome<K>, PhaseBreakdown)
-where
-    K: Key,
-{
-    let (outcome, breakdown, _) = fault_tolerant_sort_observed(plan, config, data);
-    (outcome, breakdown)
-}
-
-/// [`fault_tolerant_sort_profiled`] that additionally returns the full
+/// time went ([`PhaseBreakdown`]) and returns the full
 /// [`RunObservation`](hypercube::obs::RunObservation) — phase spans,
 /// per-node/per-link metrics and (with [`FtConfig::tracing`]) the event
 /// trace — for Perfetto export, report generation and critical-path
@@ -376,29 +363,7 @@ pub fn fault_tolerant_sort_observed<K>(
 where
     K: Key,
 {
-    fault_tolerant_sort_sunk(plan, config, data, None, None, None)
-}
-
-/// [`fault_tolerant_sort_observed`] that draws compare-split scratch slabs
-/// from a caller-owned [`BufferPool`] instead of a run-local one, so the
-/// slabs warmed by one run are reused by the next — the zero-allocation
-/// warm path for repeated runs (benchmark trials, replays); pinned by
-/// `crates/hypercube/tests/alloc_free.rs`. Pool identity is unobservable
-/// to the simulation: results are byte-identical to the unpooled calls.
-pub fn fault_tolerant_sort_pooled<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    pool: &BufferPool<Padded<K>>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, None, Some(pool), None)
+    fault_tolerant_sort_instrumented(plan, config, data, None, None, None)
 }
 
 /// [`fault_tolerant_sort_observed`] that additionally streams every trace
@@ -420,73 +385,35 @@ pub fn fault_tolerant_sort_streamed<K>(
 where
     K: Key,
 {
-    fault_tolerant_sort_sunk(plan, config, data, Some(sink), None, None)
+    fault_tolerant_sort_instrumented(plan, config, data, Some(sink), None, None)
 }
 
-/// [`fault_tolerant_sort_observed`] that additionally attaches a
-/// [`SchedProfiler`] to the run: with [`FtConfig::engine`] set to
-/// [`EngineKind::Par`], the work-stealing pool records per-worker
-/// wall-clock telemetry (poll/steal/park/barrier splits, steal matrix,
-/// shard-size histogram) into the profiler's mailbox — take the
-/// [`SchedProfile`](hypercube::obs::sched::SchedProfile) with
-/// [`SchedProfiler::take`] after the call. Other engines ignore the
-/// profiler (the mailbox stays empty). Profiling observes the host
-/// scheduler only; simulated results, run files and reports stay
-/// byte-identical (pinned by `tests/sched_profile.rs`).
+/// The fully-general entry point: [`fault_tolerant_sort_observed`] with
+/// any combination of three optional attachments. `ftsort-cli sort` drives
+/// the whole observability stack through this one call.
 ///
-/// An optional `sink` streams trace records like
-/// [`fault_tolerant_sort_streamed`] — profiled *and* streamed is the
-/// interesting combination, since a sink switches the engine onto its
-/// serial-flush path, which the profile then shows as coordinator
-/// [`Serial`](hypercube::obs::sched::SchedCat::Serial) time.
+/// * `sink` streams trace records like [`fault_tolerant_sort_streamed`].
+/// * `pool` is a caller-owned [`BufferPool`] the compare-split scratch
+///   slabs are drawn from instead of a run-local one, so slabs warmed by
+///   one run are reused by the next — the zero-allocation warm path for
+///   repeated runs, pinned by `crates/hypercube/tests/alloc_free.rs`. A
+///   [`BufferPool::with_stats`] pool also feeds the live-telemetry layer.
+/// * `profiler`: with [`FtConfig::engine`] set to [`EngineKind::Par`], the
+///   work-stealing pool records per-worker wall-clock telemetry
+///   (poll/steal/park/barrier splits, steal matrix, shard-size histogram)
+///   into the profiler's mailbox — take the
+///   [`SchedProfile`](hypercube::obs::sched::SchedProfile) with
+///   [`SchedProfiler::take`] after the call. The seq engine ignores it
+///   (the mailbox stays empty). Profiled *and* streamed shows the sink's
+///   serial-flush path as coordinator
+///   [`Serial`](hypercube::obs::sched::SchedCat::Serial) time.
 ///
-/// [`SchedProfiler`]: hypercube::obs::sched::SchedProfiler
+/// Every attachment is individually unobservable to the simulation:
+/// results, run files and reports stay byte-identical to the plain calls
+/// (pinned by `tests/sched_profile.rs` and the ftsort unit tests).
+///
 /// [`SchedProfiler::take`]: hypercube::obs::sched::SchedProfiler::take
-/// [`EngineKind::Par`]: hypercube::sim::EngineKind::Par
-pub fn fault_tolerant_sort_sched<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    profiler: Arc<hypercube::obs::sched::SchedProfiler>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, sink, None, Some(profiler))
-}
-
-/// The fully-general entry point: any combination of a streaming `sink`
-/// ([`fault_tolerant_sort_streamed`]), a caller-owned scratch `pool`
-/// ([`fault_tolerant_sort_pooled`]) and a scheduler `profiler`
-/// ([`fault_tolerant_sort_sched`]). `ftsort-cli sort` drives the whole
-/// observability stack through this one call — e.g. a stats-carrying
-/// [`BufferPool::with_stats`] pool for the live-telemetry layer alongside
-/// a run-file sink. Every attachment is individually unobservable to the
-/// simulation: results stay byte-identical to the plain calls.
 pub fn fault_tolerant_sort_instrumented<K>(
-    plan: &FtPlan,
-    config: &FtConfig,
-    data: Vec<K>,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    pool: Option<&BufferPool<Padded<K>>>,
-    profiler: Option<Arc<hypercube::obs::sched::SchedProfiler>>,
-) -> (
-    SortOutcome<K>,
-    PhaseBreakdown,
-    hypercube::obs::RunObservation,
-)
-where
-    K: Key,
-{
-    fault_tolerant_sort_sunk(plan, config, data, sink, pool, profiler)
-}
-
-fn fault_tolerant_sort_sunk<K>(
     plan: &FtPlan,
     config: &FtConfig,
     data: Vec<K>,
@@ -564,7 +491,7 @@ where
     // compare-splits cycle allocations through per-node handles instead of
     // allocating per substage, and slabs warmed by finished nodes are
     // reused by the rest. Callers with repeated runs can pass their own
-    // pool ([`fault_tolerant_sort_pooled`]) so warm slabs survive run to
+    // pool ([`fault_tolerant_sort_instrumented`]) so warm slabs survive run to
     // run. Slab identity is unobservable to the simulation, so results
     // stay byte-identical whichever engine runs and wherever slabs come
     // from.
@@ -898,13 +825,15 @@ mod tests {
         };
         let (plain, _, _) = fault_tolerant_sort_observed(&plan, &config, data.clone());
         let pool: BufferPool<Padded<u32>> = BufferPool::new();
-        let (run1, _, _) = fault_tolerant_sort_pooled(&plan, &config, data.clone(), &pool);
+        let (run1, _, _) =
+            fault_tolerant_sort_instrumented(&plan, &config, data.clone(), None, Some(&pool), None);
         assert_eq!(run1.sorted, plain.sorted);
         assert_eq!(run1.time_us.to_bits(), plain.time_us.to_bits());
         assert_eq!(run1.stats, plain.stats);
         let warmed = pool.shared_slabs();
         assert!(warmed > 0, "run 1 must park warmed slabs in the pool");
-        let (run2, _, _) = fault_tolerant_sort_pooled(&plan, &config, data, &pool);
+        let (run2, _, _) =
+            fault_tolerant_sort_instrumented(&plan, &config, data, None, Some(&pool), None);
         assert_eq!(run2.sorted, plain.sorted);
         assert_eq!(run2.time_us.to_bits(), plain.time_us.to_bits());
         assert_eq!(run2.stats, plain.stats);
@@ -1038,7 +967,7 @@ mod tests {
         let faults = FaultSet::from_raw(Hypercube::new(5), &[3, 5, 16, 24]);
         let plan = FtPlan::new(&faults).unwrap();
         let data = random_data(&mut rng, 4_800);
-        let (out, phases) = fault_tolerant_sort_profiled(&plan, &FtConfig::default(), data);
+        let (out, phases, _) = fault_tolerant_sort_observed(&plan, &FtConfig::default(), data);
         assert!(phases.step3_us > 0.0);
         assert!(phases.step7_us > 0.0);
         assert!(phases.step8_us > 0.0);
@@ -1055,7 +984,7 @@ mod tests {
         assert!(phases.step3_us < out.time_us);
         // with host I/O on, the I/O phases appear
         let data = random_data(&mut rng, 4_800);
-        let (_, phases) = fault_tolerant_sort_profiled(
+        let (_, phases, _) = fault_tolerant_sort_observed(
             &plan,
             &FtConfig {
                 include_host_io: true,

@@ -4,7 +4,7 @@
 //! The branchless/cache-blocked kernels in [`super::branchless`] additionally
 //! need keys they can load and move by value inside a fixed-width inner loop
 //! with no data-dependent control flow — that is what [`Key`] captures:
-//! `Ord + Copy` plus the thread bounds the three engines need to ship runs
+//! `Ord + Copy` plus the thread bounds the engines need to ship runs
 //! between nodes. Everything above the kernels (`compare_split_remote`, the
 //! sorts in `ftsort`/`mffs`/`baselines`) dispatches over `Key`
 //! monomorphically, so each concrete key type gets its own specialized
@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 /// `Copy` is the load-bearing bound: the branchless inner loop reads both
 /// candidates, selects with a conditional move, and advances one index —
 /// none of which is expressible (without branches) over move-only values.
-/// `Send + Sync + 'static` are what the threaded and work-stealing engines
-/// require to ship runs between nodes.
+/// `Send + Sync + 'static` are what the work-stealing engine requires to
+/// ship runs between nodes on different workers.
 pub trait Key: Ord + Copy + Send + Sync + std::fmt::Debug + 'static {}
 
 macro_rules! impl_key {

@@ -8,8 +8,8 @@ enum Store<K> {
     Own(Vec<Vec<K>>),
     /// A handle on a run-wide [`hypercube::sim::BufferPool`]: buffers cycle
     /// through a small per-node local list and spill to the shared store,
-    /// so slabs warmed by one node are reused by others — on the threaded
-    /// and parallel engines this turns `N` cold starts into one.
+    /// so slabs warmed by one node are reused by others — on the parallel
+    /// engine this turns `N` cold starts into one.
     Pooled(PoolHandle<K>),
 }
 

@@ -12,10 +12,10 @@
 //! * [`routing`] — e-cube (VERTEX-style) routing, plus shortest fault-avoiding
 //!   detours for the total-fault model.
 //! * [`sim`] — two interchangeable execution engines for async SPMD node
-//!   programs: a sequential event-driven scheduler (the default) and a
-//!   threaded MIMD engine (one OS thread per processor, bounded channels as
-//!   links), both with identical deterministic virtual-time accounting under
-//!   the paper's cost model ([`cost`]) and operation counters ([`stats`]).
+//!   programs: a sequential round/frontier scheduler (the default) and a
+//!   work-stealing parallel executor over the same schedule, both with
+//!   identical deterministic virtual-time accounting under the paper's cost
+//!   model ([`cost`]) and operation counters ([`stats`]).
 //! * [`diagnosis`] — a PMC-style off-line diagnosis stand-in for the fault
 //!   identification step the paper assumes.
 //! * [`embedding`] — Gray-code ring/mesh embeddings (substrate completeness).

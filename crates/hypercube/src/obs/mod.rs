@@ -159,10 +159,9 @@ pub struct NodeMetrics {
     pub msg_size_hist: Vec<u64>,
     /// Message-hop histogram: index = links crossed.
     pub msg_hops_hist: Vec<u64>,
-    /// High-water mark of this node's receive queue, in messages. Exact
-    /// and deterministic on the sequential engine; on the threaded engine
-    /// it is sampled from live channel gauges and may vary with OS
-    /// scheduling, so it is excluded from engine-differential comparisons.
+    /// High-water mark of this node's receive queue, in messages: the
+    /// inbox length right after each barrier delivery, maximized. Exact
+    /// and deterministic, identical on every engine and worker count.
     pub inbox_peak: u64,
 }
 
@@ -988,15 +987,15 @@ mod tests {
         assert!(json::Json::parse(&text).is_ok());
 
         // with_threads round-trips too (presentation-layer metadata)
-        let threaded = report.with_threads(4);
-        let text = threaded.to_json();
+        let with_threads = report.with_threads(4);
+        let text = with_threads.to_json();
         assert!(text.contains("\"threads\":4"));
         let back = RunReport::from_json(&text).expect("parse");
-        assert_eq!(back, threaded);
+        assert_eq!(back, with_threads);
         assert!(json::Json::parse(&text).is_ok());
 
         // the effective schedule rides along the same way
-        let scheduled = threaded.with_schedule(2, 16);
+        let scheduled = with_threads.with_schedule(2, 16);
         let text = scheduled.to_json();
         assert!(text.contains("\"workers_effective\":2"));
         assert!(text.contains("\"shard_size\":16"));

@@ -14,6 +14,7 @@
 //! peaks, which come from the file's footer.
 
 use super::json::{parse_trace_event, Json};
+use super::schedule::map_checkpoint;
 use super::sink::{BufferedSink, NodeSummary, TraceSink};
 use super::{NodeMetrics, NodeObservation, RunObservation, SpanLog, SpanRecord};
 use crate::address::NodeId;
@@ -366,18 +367,7 @@ pub fn recost(obs: &RunObservation, new_cost: CostModel) -> Result<RunObservatio
         checkpoints[n].push((e.time, new_clock[n]));
     }
 
-    // Translate an old-timeline instant at node `n` into the new timeline:
-    // new time of the last checkpoint at or before it, plus the residual.
-    let map_time = |n: usize, t: f64| -> f64 {
-        let cps = &checkpoints[n];
-        match cps.partition_point(|&(old, _)| old <= t) {
-            0 => t, // before the node's first charge the timelines agree
-            p => {
-                let (old, new) = cps[p - 1];
-                new + (t - old)
-            }
-        }
-    };
+    let map_time = |n: usize, t: f64| map_checkpoint(&checkpoints[n], t);
 
     let new_events: Vec<_> = events
         .iter()

@@ -1,43 +1,35 @@
-//! The threaded MIMD engine: one OS thread per simulated processor, bounded
-//! `std::sync::mpsc` channels as the interconnect — plus the shared node
-//! context ([`NodeCtx`]) used by both this engine and the sequential
-//! event-driven engine ([`super::sequential::SeqEngine`]).
+//! The machine front door ([`Engine`]) and the per-node context
+//! ([`NodeCtx`]) shared by both executors: the sequential round/frontier
+//! scheduler ([`super::sequential::SeqEngine`]) and the work-stealing pool
+//! ([`super::par::ParEngine`]).
 //!
-//! The engine spawns a thread for every node that is given an input (normal,
-//! participating processors); faulty and dangling processors get no thread,
-//! mirroring the paper's implementation where faulty nodes "run idle" and
-//! receive no elements. Message transport is charged through the routing
-//! layer: the number of links a message crosses is computed from the fault
-//! model ([`crate::routing::hop_count`]), so a detour under the total-fault
-//! model costs more virtual time than the same message under partial faults.
+//! Only nodes that are given an input (normal, participating processors)
+//! run a program; faulty and dangling processors stay idle, mirroring the
+//! paper's implementation where faulty nodes "run idle" and receive no
+//! elements. Message transport is charged through the routing layer: the
+//! number of links a message crosses is computed from the fault model
+//! ([`crate::routing::hop_count`]), so a detour under the total-fault model
+//! costs more virtual time than the same message under partial faults.
 //!
-//! [`Engine`] is a front door over all executors: [`Engine::run`] dispatches
-//! on [`EngineKind`] (default [`EngineKind::Seq`]), so callers pick an
-//! executor with [`Engine::with_engine`] and are guaranteed identical
-//! simulated results either way.
+//! [`Engine::run`] dispatches on [`EngineKind`] (default
+//! [`EngineKind::Seq`]), so callers pick an executor with
+//! [`Engine::with_engine`] and are guaranteed identical simulated results
+//! either way.
 
-use super::frontier::{CellCtx, CellRecord};
+use super::frontier::CellCtx;
 use super::par::ParEngine;
 use super::sequential::SeqEngine;
-use super::trace::{Trace, TraceEvent, TraceKind};
+use super::trace::Trace;
 use super::{Comm, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
-use crate::cost::{CostModel, VirtualClock};
+use crate::cost::CostModel;
 use crate::fault::FaultSet;
-use crate::obs::metrics::{self, EngineMetrics};
-use crate::obs::schedule::{reconstruct_inbox_peaks, reprice_full};
-use crate::obs::sink::{NodeSummary, TraceSink};
-use crate::obs::{NodeMetrics, NodeObservation, RunObservation, SpanLog, SpanRecord};
+use crate::obs::sink::TraceSink;
+use crate::obs::{NodeMetrics, NodeObservation, RunObservation, SpanRecord};
 use crate::routing;
 use crate::stats::RunStats;
 use crate::topology::Hypercube;
-use std::collections::HashMap;
-use std::future::Future;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
-use std::time::Duration;
 
 /// Which routing algorithm the simulated machine charges hops with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
@@ -50,17 +42,6 @@ pub enum RouterKind {
     /// ([`crate::routing::adaptive_route`], after Chen & Shin) — what a
     /// real fault-tolerant router achieves; may take longer walks.
     Adaptive,
-}
-
-/// A message in flight on the threaded engine.
-struct Message<K> {
-    src: NodeId,
-    tag: Tag,
-    data: Vec<K>,
-    /// Sender's virtual clock at send time.
-    sent_at: f64,
-    /// Links this message crosses (precomputed by the sender's router).
-    hops: u32,
 }
 
 /// What one simulated processor produced.
@@ -77,18 +58,6 @@ pub struct NodeOutcome<T> {
     pub spans: Vec<SpanRecord>,
     /// Per-node utilization/communication metrics.
     pub metrics: NodeMetrics,
-}
-
-/// Capacity preallocated for a node's trace buffer when tracing is on.
-///
-/// One step-8 pass of the fault-tolerant sort runs at most `dim` merge
-/// stages of up to `dim` substages each, and every substage produces at
-/// most 6 traced events per node (two protocol rounds of send + recv,
-/// plus compute charges). `16·dim² + 64` therefore covers the heaviest
-/// algorithm in the workspace with ≥2× slack — a buffer that overflows it
-/// simply reallocates, so this is a fast path, not a correctness bound.
-pub(super) fn trace_capacity(dim: usize) -> usize {
-    16 * dim * dim + 64
 }
 
 /// The result of running a program on the machine.
@@ -213,204 +182,18 @@ pub(super) fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
     }
 }
 
-/// Live occupancy gauge for one node's receive channel. Senders bump the
-/// destination's count, the receiver decrements as it drains — the peak is
-/// the channel's high-water mark. Unlike every other observation this is
-/// executor-dependent (it reflects real thread interleaving), so it is
-/// reported but excluded from engine-differential comparisons.
-#[derive(Default)]
-pub(super) struct InboxGauge {
-    count: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl InboxGauge {
-    fn on_enqueue(&self) {
-        let now = self.count.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn on_dequeue(&self) {
-        self.count.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
-/// Per-node state of the threaded engine: real channels, local clock.
-struct ThreadedCtx<K> {
-    clock: VirtualClock,
-    stats: RunStats,
-    rx: Receiver<Message<K>>,
-    txs: Arc<Vec<Option<SyncSender<Message<K>>>>>,
-    /// Messages that arrived before they were asked for.
-    pending: HashMap<(NodeId, Tag), Vec<Message<K>>>,
-    recv_timeout: Duration,
-    /// Event log (Some only when tracing is enabled).
-    trace: Option<Vec<TraceEvent>>,
-    /// Observability spans ([`Comm::span_enter`]).
-    spans: SpanLog,
-    /// Per-node utilization/communication metrics.
-    metrics: NodeMetrics,
-    /// Channel occupancy gauges, shared by all nodes of the run.
-    gauges: Arc<Vec<InboxGauge>>,
-    /// Streaming record sink (Some only when one is attached). The lock
-    /// serializes records across node threads while keeping each node's
-    /// own records in program order — the invariant replay relies on.
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    /// Per-node record capture for the contended post-pass (Some only
-    /// under [`LinkModel::Contended`] with a sink attached). The run
-    /// executes uncontended-internally; records are buffered here in
-    /// program order, re-priced after the join, and emitted to the sink in
-    /// canonical commit order — live streaming (`sink` above) is
-    /// suppressed while this is active.
-    capture: Option<Vec<CellRecord>>,
-    /// Live-telemetry handles, resolved once per node thread from the
-    /// process-wide registry; `None` keeps every hook a single branch.
-    obs: Option<EngineMetrics>,
-}
-
-impl<K> ThreadedCtx<K> {
-    /// Whether trace events need to be materialized at all (buffered
-    /// trace, attached sink, capture, or any combination).
-    fn observing(&self) -> bool {
-        self.trace.is_some() || self.sink.is_some() || self.capture.is_some()
-    }
-
-    /// Routes one trace event to the in-memory buffer, the sink and/or the
-    /// contended capture.
-    fn emit_event(&mut self, ev: TraceEvent) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(ev);
-        }
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock poisoned").event(&ev);
-        }
-        if let Some(capture) = &mut self.capture {
-            capture.push(CellRecord::Event(ev));
-        }
-    }
-
-    fn take_pending(&mut self, src: NodeId, tag: Tag) -> Option<Message<K>> {
-        match self.pending.get_mut(&(src, tag)) {
-            Some(list) if !list.is_empty() => Some(list.remove(0)),
-            _ => None,
-        }
-    }
-
-    fn send(
-        &mut self,
-        me: NodeId,
-        dst: NodeId,
-        tag: Tag,
-        data: Vec<K>,
-        hops: u32,
-        cost: CostModel,
-    ) {
-        // The sender's port is busy pushing the elements onto its first link.
-        self.clock.advance(cost.transfer(data.len(), hops.min(1)));
-        self.stats.record_message(data.len(), hops);
-        self.metrics.on_send(me, dst, data.len(), hops, &cost);
-        if let Some(m) = &self.obs {
-            m.elements_priced.add(data.len() as u64);
-            m.msg_elements.record(data.len() as u64);
-            // On the threaded engine the channel push *is* delivery.
-            m.messages_delivered.inc();
-        }
-        if self.observing() {
-            self.emit_event(TraceEvent {
-                time: self.clock.now(),
-                node: me,
-                tag,
-                kind: TraceKind::Send {
-                    to: dst,
-                    elements: data.len(),
-                    hops,
-                },
-            });
-        }
-        let msg = Message {
-            src: me,
-            tag,
-            data,
-            sent_at: self.clock.now(),
-            hops,
-        };
-        let tx = self.txs[dst.index()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("send to non-participating node {dst:?}"));
-        self.gauges[dst.index()].on_enqueue();
-        tx.send(msg).expect("receiver hung up");
-    }
-
-    fn recv(&mut self, me: NodeId, src: NodeId, tag: Tag, cost: CostModel) -> Vec<K> {
-        let msg = if let Some(m) = self.take_pending(src, tag) {
-            m
-        } else {
-            loop {
-                let m = self.rx.recv_timeout(self.recv_timeout).unwrap_or_else(|_| {
-                    panic!("{me:?}: timed out waiting for message ({src:?}, {tag:?}) — deadlock?")
-                });
-                self.gauges[me.index()].on_dequeue();
-                if m.src == src && m.tag == tag {
-                    break m;
-                }
-                self.pending.entry((m.src, m.tag)).or_default().push(m);
-            }
-        };
-        let before = self.clock.now();
-        self.clock
-            .receive(msg.sent_at, cost.transfer(msg.data.len(), msg.hops));
-        // Any forward jump is time this node spent waiting on the wire.
-        let blocked = self.clock.now() - before;
-        self.metrics.blocked_us += blocked;
-        self.metrics.msgs_received += 1;
-        if let Some(m) = &self.obs {
-            if blocked > 0.0 {
-                m.link_wait_us.add(blocked as u64);
-            }
-        }
-        if self.observing() {
-            self.emit_event(TraceEvent {
-                time: self.clock.now(),
-                node: me,
-                tag,
-                kind: TraceKind::Recv {
-                    from: src,
-                    elements: msg.data.len(),
-                    // The threaded engine always *executes* uncontended;
-                    // under Contended the post-pass re-prices these events
-                    // and fills the real waits.
-                    wait: 0.0,
-                },
-            });
-        }
-        msg.data
-    }
-}
-
-/// Executor-specific half of a [`NodeCtx`].
-enum CtxInner<K> {
-    Threaded(Box<ThreadedCtx<K>>),
-    /// The frontier engines' cell-backed context (sequential and parallel
-    /// executors share it — one code path, byte-identical behavior).
-    Cell(CellCtx<K>),
-}
-
 /// The per-node communication handle handed to node programs.
 ///
-/// Implements [`Comm`]; created only by the engines. The same type serves
-/// both executors so one generic node program compiles once and runs on
-/// either.
+/// Implements [`Comm`]; created only by the engines. Both executors back
+/// it with the frontier core's per-node cell context, so one generic node
+/// program compiles once and runs on either with byte-identical behavior.
 pub struct NodeCtx<K> {
     me: NodeId,
     cube: Hypercube,
     faults: Arc<FaultSet>,
     cost: CostModel,
     router: RouterKind,
-    inner: CtxInner<K>,
+    cell: CellCtx<K>,
 }
 
 impl<K> NodeCtx<K> {
@@ -428,7 +211,7 @@ impl<K> NodeCtx<K> {
             faults,
             cost,
             router,
-            inner: CtxInner::Cell(cell),
+            cell,
         }
     }
 }
@@ -453,106 +236,31 @@ impl<K> Comm<K> for NodeCtx<K> {
     fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>) {
         assert!(self.cube.contains(dst), "send to address outside cube");
         let hops = route_hops(&self.faults, self.router, self.me, dst);
-        match &mut self.inner {
-            CtxInner::Threaded(t) => t.send(self.me, dst, tag, data, hops, self.cost),
-            CtxInner::Cell(c) => c.send(self.me, dst, tag, data, hops, self.cost),
-        }
+        self.cell.send(self.me, dst, tag, data, hops, self.cost);
     }
 
     async fn recv(&mut self, src: NodeId, tag: Tag) -> Vec<K> {
-        match &mut self.inner {
-            CtxInner::Threaded(t) => t.recv(self.me, src, tag, self.cost),
-            CtxInner::Cell(c) => c.recv(self.me, src, tag, self.cost).await,
-        }
+        self.cell.recv(self.me, src, tag, self.cost).await
     }
 
     fn span_enter(&mut self, phase: u16) {
-        match &mut self.inner {
-            CtxInner::Threaded(t) => {
-                let now = t.clock.now();
-                t.spans.enter(phase, now);
-                if let Some(sink) = &t.sink {
-                    sink.lock()
-                        .expect("trace sink lock poisoned")
-                        .span(self.me, Some(phase), now);
-                }
-                if let Some(capture) = &mut t.capture {
-                    capture.push(CellRecord::Span {
-                        phase: Some(phase),
-                        time: now,
-                    });
-                }
-            }
-            CtxInner::Cell(c) => c.span_enter(self.me, phase),
-        }
+        self.cell.span_enter(self.me, phase);
     }
 
     fn span_exit(&mut self) {
-        match &mut self.inner {
-            CtxInner::Threaded(t) => {
-                let now = t.clock.now();
-                t.spans.exit(now);
-                if let Some(sink) = &t.sink {
-                    sink.lock()
-                        .expect("trace sink lock poisoned")
-                        .span(self.me, None, now);
-                }
-                if let Some(capture) = &mut t.capture {
-                    capture.push(CellRecord::Span {
-                        phase: None,
-                        time: now,
-                    });
-                }
-            }
-            CtxInner::Cell(c) => c.span_exit(self.me),
-        }
+        self.cell.span_exit(self.me);
     }
 
     fn charge_comparisons(&mut self, count: usize) {
-        match &mut self.inner {
-            CtxInner::Threaded(t) => {
-                t.clock.advance(self.cost.compare(count));
-                t.stats.record_comparisons(count);
-                if t.observing() {
-                    t.emit_event(TraceEvent {
-                        time: t.clock.now(),
-                        node: self.me,
-                        tag: Tag::new(0),
-                        kind: TraceKind::Compute { comparisons: count },
-                    });
-                }
-            }
-            CtxInner::Cell(c) => c.charge_comparisons(self.me, count, self.cost),
-        }
+        self.cell.charge_comparisons(self.me, count, self.cost);
     }
 
     fn charge_compute(&mut self, cost: f64) {
-        match &mut self.inner {
-            CtxInner::Threaded(t) => t.clock.advance(cost),
-            CtxInner::Cell(c) => c.charge_compute(cost),
-        }
+        self.cell.charge_compute(cost);
     }
 
     fn clock(&self) -> f64 {
-        match &self.inner {
-            CtxInner::Threaded(t) => t.clock.now(),
-            CtxInner::Cell(c) => c.clock(),
-        }
-    }
-}
-
-/// Polls a node-program future to completion on the current thread.
-///
-/// On the threaded engine a blocked receive blocks *inside* the poll (on the
-/// channel), so the future is always `Ready` after one poll.
-pub(super) fn run_to_completion<Fut: Future>(fut: Fut) -> Fut::Output {
-    let mut cx = Context::from_waker(Waker::noop());
-    let mut fut = std::pin::pin!(fut);
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => unreachable!(
-            "threaded-engine node programs never suspend: recv blocks on the channel inside poll"
-        ),
+        self.cell.clock()
     }
 }
 
@@ -561,7 +269,6 @@ pub(super) fn run_to_completion<Fut: Future>(fut: Fut) -> Fut::Output {
 pub struct Engine {
     faults: Arc<FaultSet>,
     cost: CostModel,
-    recv_timeout: Duration,
     router: RouterKind,
     link_model: LinkModel,
     tracing: bool,
@@ -579,7 +286,6 @@ impl Engine {
         Engine {
             faults: Arc::new(faults),
             cost,
-            recv_timeout: Duration::from_secs(30),
             router: RouterKind::default(),
             link_model: LinkModel::default(),
             tracing: false,
@@ -636,14 +342,6 @@ impl Engine {
     /// A fault-free machine.
     pub fn fault_free(cube: Hypercube, cost: CostModel) -> Self {
         Engine::new(FaultSet::none(cube), cost)
-    }
-
-    /// Overrides the receive timeout the threaded executor uses to detect
-    /// deadlocked programs (the frontier executors detect deadlock
-    /// immediately and ignore this).
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
     }
 
     /// Sets the parallel executor's worker-pool size (builder style); only
@@ -746,295 +444,8 @@ impl Engine {
         F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
     {
         match self.kind {
-            EngineKind::Threaded => self.run_threaded(inputs, program),
             EngineKind::Seq => SeqEngine::from_engine(self).run(inputs, program),
             EngineKind::Par => ParEngine::from_engine(self).run(inputs, program),
-        }
-    }
-
-    fn run_threaded<K, T, F>(&self, inputs: Vec<Option<Vec<K>>>, program: F) -> RunOutcome<T>
-    where
-        K: Send,
-        T: Send,
-        F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
-    {
-        let cube = self.cube();
-        validate_inputs(&self.faults, &inputs);
-
-        // Build one bounded channel per participating node. The capacity is
-        // the engine's per-node message budget, derived from the cost
-        // model's communication structure: in any single algorithm phase a
-        // node receives from at most `dim` distinct peers (its tree children
-        // in a binomial collective, or one compare-split partner), and the
-        // two-round half-exchange protocol keeps at most 2 messages per
-        // peer in flight. `2 * dim + 4` therefore bounds the backlog of any
-        // well-formed program; receivers drain their channel whenever they
-        // block, so senders never stall against a live receiver.
-        let capacity = 2 * cube.dim() + 4;
-        let mut txs: Vec<Option<SyncSender<Message<K>>>> = Vec::with_capacity(cube.len());
-        let mut rxs: Vec<Option<Receiver<Message<K>>>> = Vec::with_capacity(cube.len());
-        for slot in &inputs {
-            if slot.is_some() {
-                let (tx, rx) = sync_channel(capacity);
-                txs.push(Some(tx));
-                rxs.push(Some(rx));
-            } else {
-                txs.push(None);
-                rxs.push(None);
-            }
-        }
-        let txs = Arc::new(txs);
-        let gauges: Arc<Vec<InboxGauge>> =
-            Arc::new((0..cube.len()).map(|_| InboxGauge::default()).collect());
-
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock poisoned").begin(
-                cube.dim(),
-                &self.cost,
-                self.link_model,
-            );
-        }
-
-        // Under Contended the run executes uncontended-internally (real
-        // channel timing cannot replay the deterministic link arbitration),
-        // with events force-traced and sink records captured per node; a
-        // post-pass below re-prices everything through the same
-        // schedule-replay code the offline tools use.
-        let contended = self.link_model == LinkModel::Contended;
-        let mut outcomes: Vec<Option<NodeOutcome<T>>> = (0..cube.len()).map(|_| None).collect();
-        let program = &program;
-
-        let (traces, mut captures) = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, (input, rx)) in inputs.into_iter().zip(rxs).enumerate() {
-                let (Some(input), Some(rx)) = (input, rx) else {
-                    continue;
-                };
-                let txs = Arc::clone(&txs);
-                let gauges = Arc::clone(&gauges);
-                let faults = Arc::clone(&self.faults);
-                let cost = self.cost;
-                let recv_timeout = self.recv_timeout;
-                let router = self.router;
-                let tracing = self.tracing || contended;
-                let sink = (!contended).then(|| self.sink.clone()).flatten();
-                let capturing = contended && self.sink.is_some();
-                let handle = scope.spawn(move || {
-                    let mut ctx = NodeCtx {
-                        me: NodeId::from(i),
-                        cube,
-                        faults,
-                        cost,
-                        router,
-                        inner: CtxInner::Threaded(Box::new(ThreadedCtx {
-                            clock: VirtualClock::new(),
-                            stats: RunStats::new(),
-                            rx,
-                            txs,
-                            pending: HashMap::new(),
-                            recv_timeout,
-                            trace: tracing.then(|| Vec::with_capacity(trace_capacity(cube.dim()))),
-                            spans: SpanLog::new(),
-                            metrics: NodeMetrics::new(cube.dim()),
-                            gauges,
-                            sink,
-                            capture: capturing.then(Vec::new),
-                            obs: metrics::global().map(|g| g.run.engine.clone()),
-                        })),
-                    };
-                    let result = run_to_completion(program(&mut ctx, input));
-                    let CtxInner::Threaded(t) = ctx.inner else {
-                        unreachable!()
-                    };
-                    let clock = t.clock.now();
-                    (
-                        i,
-                        NodeOutcome {
-                            result,
-                            clock,
-                            stats: t.stats,
-                            spans: t.spans.finish(clock),
-                            metrics: t.metrics,
-                        },
-                        t.trace.unwrap_or_default(),
-                        t.capture,
-                    )
-                });
-                handles.push(handle);
-            }
-            let mut traces = Vec::new();
-            let mut captures: Vec<(usize, Vec<CellRecord>)> = Vec::new();
-            for handle in handles {
-                let (i, outcome, trace, capture) = handle.join().expect("node program panicked");
-                outcomes[i] = Some(outcome);
-                traces.push(trace);
-                if let Some(capture) = capture {
-                    captures.push((i, capture));
-                }
-            }
-            (traces, captures)
-        });
-
-        // Channel high-water marks are only known once every thread is done.
-        for (i, outcome) in outcomes.iter_mut().enumerate() {
-            if let Some(o) = outcome {
-                o.metrics.inbox_peak = gauges[i].peak();
-            }
-        }
-
-        let trace = if contended {
-            self.finish_contended(cube, &mut outcomes, traces, &mut captures)
-        } else {
-            Trace::assemble(traces)
-        };
-
-        if let Some(sink) = &self.sink {
-            let summaries: Vec<NodeSummary> = outcomes
-                .iter()
-                .enumerate()
-                .filter_map(|(i, o)| {
-                    o.as_ref().map(|o| NodeSummary {
-                        node: NodeId::from(i),
-                        clock: o.clock,
-                        blocked_us: o.metrics.blocked_us,
-                        inbox_peak: o.metrics.inbox_peak,
-                    })
-                })
-                .collect();
-            sink.lock()
-                .expect("trace sink lock poisoned")
-                .finish(&summaries);
-        }
-
-        RunOutcome {
-            outcomes,
-            trace,
-            dim: cube.dim(),
-            cost: self.cost,
-            link_model: self.link_model,
-        }
-    }
-
-    /// The threaded engine's contended post-pass: re-prices the internally
-    /// uncontended run through [`reprice_full`] — the exact code the live
-    /// frontier barrier and the offline repricer share — rewrites every
-    /// node outcome onto the contended timeline, replaces the
-    /// executor-dependent gauge peaks with the deterministic barrier
-    /// reconstruction, and emits the captured sink records in canonical
-    /// commit order. Returns the run's (contended-timeline) trace when
-    /// tracing was requested.
-    fn finish_contended<T>(
-        &self,
-        cube: Hypercube,
-        outcomes: &mut [Option<NodeOutcome<T>>],
-        traces: Vec<Vec<TraceEvent>>,
-        captures: &mut Vec<(usize, Vec<CellRecord>)>,
-    ) -> Trace {
-        let internal_obs = RunObservation {
-            dim: cube.dim(),
-            cost: self.cost,
-            link_model: LinkModel::Uncontended,
-            key_type: None,
-            trace: Trace::assemble(traces),
-            nodes: outcomes
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    o.as_ref().map(|o| NodeObservation {
-                        node: NodeId::from(i),
-                        clock: o.clock,
-                        stats: o.stats,
-                        spans: o.spans.clone(),
-                        metrics: o.metrics.clone(),
-                    })
-                })
-                .collect(),
-        };
-
-        if internal_obs.trace.is_empty() {
-            // No events at all: contended and uncontended timelines are
-            // identical (no messages crossed a link). Flush any captured
-            // span records as-is, in node order.
-            if let Some(sink) = &self.sink {
-                let mut sink = sink.lock().expect("trace sink lock poisoned");
-                for (i, records) in captures.drain(..) {
-                    for rec in records {
-                        match rec {
-                            CellRecord::Event(ev) => sink.event(&ev),
-                            CellRecord::Span { phase, time } => {
-                                sink.span(NodeId::from(i), phase, time)
-                            }
-                        }
-                    }
-                }
-            }
-            return Trace::default();
-        }
-
-        let rp = reprice_full(&internal_obs, self.cost, LinkModel::Contended)
-            .expect("trace is non-empty");
-        let peaks = reconstruct_inbox_peaks(internal_obs.trace.events(), &rp.rounds, cube.len());
-        for (i, o) in outcomes.iter_mut().enumerate() {
-            if let (Some(o), Some(nb)) = (o.as_mut(), rp.obs.nodes[i].as_ref()) {
-                o.clock = nb.clock;
-                o.spans = nb.spans.clone();
-                o.metrics = nb.metrics.clone();
-                o.metrics.inbox_peak = peaks[i];
-            }
-        }
-
-        if let Some(sink) = &self.sink {
-            // k-th event of node n in the assembled trace is node n's k-th
-            // captured event: the stable (time, node) sort preserves each
-            // node's program order (per-node times are non-decreasing).
-            let events = internal_obs.trace.events();
-            let mut node_events: Vec<Vec<usize>> = vec![Vec::new(); cube.len()];
-            for (idx, e) in events.iter().enumerate() {
-                node_events[e.node.index()].push(idx);
-            }
-            // A span boundary is flushed at the barrier of the poll that
-            // produced it — the round of the preceding event (every poll
-            // after round 0 begins by completing a receive, so a span can
-            // only precede all events of its poll in round 0).
-            let mut out: Vec<(u32, usize, CellRecord)> = Vec::new();
-            for (n, records) in captures.drain(..) {
-                let mut k = 0usize;
-                let mut round = 0u32;
-                for rec in records {
-                    match rec {
-                        CellRecord::Event(_) => {
-                            let idx = node_events[n][k];
-                            k += 1;
-                            round = rp.rounds[idx];
-                            out.push((round, n, CellRecord::Event(rp.new_events[idx])));
-                        }
-                        CellRecord::Span { phase, time } => {
-                            out.push((
-                                round,
-                                n,
-                                CellRecord::Span {
-                                    phase,
-                                    time: rp.map_time(n, time),
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-            out.sort_by_key(|&(round, node, _)| (round, node));
-            let mut sink = sink.lock().expect("trace sink lock poisoned");
-            for (_, n, rec) in out {
-                match rec {
-                    CellRecord::Event(ev) => sink.event(&ev),
-                    CellRecord::Span { phase, time } => sink.span(NodeId::from(n), phase, time),
-                }
-            }
-        }
-
-        if self.tracing {
-            rp.obs.trace
-        } else {
-            Trace::default()
         }
     }
 }
@@ -1048,10 +459,9 @@ mod tests {
         Engine::fault_free(Hypercube::new(n), CostModel::paper_form())
     }
 
-    fn all_engines(n: usize) -> [Engine; 3] {
+    fn all_engines(n: usize) -> [Engine; 2] {
         [
             engine(n).with_engine(EngineKind::Seq),
-            engine(n).with_engine(EngineKind::Threaded),
             // 2 workers so the pool protocol is exercised even on 1-core CI
             engine(n).with_engine(EngineKind::Par).with_workers(2),
         ]
@@ -1123,8 +533,8 @@ mod tests {
         assert_eq!(t1, t2);
         assert_eq!(c1, c2);
         assert!(t1 > 0.0);
-        // …and the threaded executor computes the exact same virtual times.
-        let (t3, c3) = run(EngineKind::Threaded);
+        // …and the parallel executor computes the exact same virtual times.
+        let (t3, c3) = run(EngineKind::Par);
         assert_eq!(t1, t3);
         assert_eq!(c1, c3);
     }
@@ -1244,7 +654,7 @@ mod tests {
 
     #[test]
     fn faulty_nodes_cannot_receive_inputs() {
-        for kind in [EngineKind::Seq, EngineKind::Threaded] {
+        for kind in [EngineKind::Seq, EngineKind::Par] {
             let faults = FaultSet::from_raw(Hypercube::new(2), &[1]);
             let eng = Engine::new(faults, CostModel::paper_form()).with_engine(kind);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1297,11 +707,9 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_detects_deadlock() {
-        // Threaded: the channel read times out. Seq: the scheduler sees no
-        // runnable node and panics immediately.
+    fn deadlocked_program_panics() {
+        // The frontier scheduler sees no runnable node and panics at once.
         for eng in all_engines(0) {
-            let eng = eng.with_recv_timeout(Duration::from_millis(100));
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 eng.run(vec![Some(vec![0u32])], async |ctx, _| {
                     // nobody ever sends this: the engine must panic, not hang
@@ -1352,7 +760,7 @@ mod tests {
                 })
         };
         let a = run(EngineKind::Seq);
-        let b = run(EngineKind::Threaded);
+        let b = run(EngineKind::Par);
         assert_eq!(a.node(NodeId::new(0)).unwrap().result.len(), 8);
         for (x, y) in a.outcomes().iter().zip(b.outcomes()) {
             match (x, y) {

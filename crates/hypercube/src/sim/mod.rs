@@ -3,11 +3,11 @@
 //! Algorithms are written SPMD-style: the same *node program* runs on every
 //! normal processor, communicating through the [`Comm`] handle. Node
 //! programs are `async`: a blocked receive suspends the node, which lets
-//! one executor run nodes on OS threads ([`engine::Engine`] with
-//! [`EngineKind::Threaded`]), another schedule all of them cooperatively
-//! on a single thread ([`sequential::SeqEngine`], the default), and a
-//! third share the ready frontier across a fixed worker pool
+//! one executor schedule all of them cooperatively on a single thread
+//! ([`sequential::SeqEngine`], the default) and the other share the same
+//! round-by-round ready frontier across a work-stealing worker pool
 //! ([`par::ParEngine`]) — same program, identical simulated results.
+//! [`engine::Engine`] is the front door over both.
 //!
 //! ## Deterministic virtual time
 //!
@@ -45,10 +45,6 @@ use crate::topology::Hypercube;
     Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
 )]
 pub enum EngineKind {
-    /// One OS thread per simulated processor, bounded channels as the
-    /// interconnect. Real concurrency; wall-clock cost grows with the
-    /// machine size (a `Q_10` run schedules 1024 kernel threads).
-    Threaded,
     /// Single-threaded run-to-completion cooperative scheduler
     /// ([`sequential::SeqEngine`]): the ready frontier of node programs is
     /// polled round by round, with sends delivered at a deterministic
@@ -67,10 +63,9 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parses the CLI spelling (`threaded` | `seq` | `par`).
+    /// Parses the CLI spelling (`seq` | `par`).
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s {
-            "threaded" => Some(EngineKind::Threaded),
             "seq" | "sequential" => Some(EngineKind::Seq),
             "par" | "parallel" => Some(EngineKind::Par),
             _ => None,
@@ -81,7 +76,6 @@ impl EngineKind {
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineKind::Threaded => write!(f, "threaded"),
             EngineKind::Seq => write!(f, "seq"),
             EngineKind::Par => write!(f, "par"),
         }
@@ -161,10 +155,10 @@ impl Tag {
 /// The communication and accounting interface a node program runs against.
 ///
 /// All sorting algorithms in the `ftsort` crate are generic over this trait,
-/// so they run unmodified on the threaded MIMD engine and on the sequential
-/// event-driven engine. `recv` (and anything built on it) is `async`: the
-/// threaded engine blocks inside the poll, the sequential engine suspends
-/// the node program and resumes it when the message arrives.
+/// so they run unmodified on every executor. `recv` (and anything built on
+/// it) is `async`: a receive whose message has not been delivered yet
+/// suspends the node program, and the engine resumes it in the round after
+/// the message arrives.
 #[allow(async_fn_in_trait)] // simulator-internal trait; no Send futures needed
 pub trait Comm<K> {
     /// This processor's physical address.
@@ -281,13 +275,11 @@ mod tests {
 
     #[test]
     fn engine_kind_parses_cli_spellings() {
-        assert_eq!(EngineKind::parse("threaded"), Some(EngineKind::Threaded));
         assert_eq!(EngineKind::parse("seq"), Some(EngineKind::Seq));
         assert_eq!(EngineKind::parse("sequential"), Some(EngineKind::Seq));
         assert_eq!(EngineKind::parse("par"), Some(EngineKind::Par));
         assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Par));
         assert_eq!(EngineKind::parse("fast"), None);
-        assert_eq!(EngineKind::Threaded.to_string(), "threaded");
         assert_eq!(EngineKind::Seq.to_string(), "seq");
         assert_eq!(EngineKind::Par.to_string(), "par");
         assert_eq!(EngineKind::default(), EngineKind::Seq);

@@ -207,7 +207,7 @@ impl Drop for PoisonGuard<'_> {
 /// constructing a `ParEngine` directly additionally exposes
 /// [`ParEngine::with_workers`] and [`ParEngine::with_shard_size`].
 /// Requires `K`/`T`: [`Send`] and a [`Sync`] program (workers share
-/// `&program`), like the threaded engine.
+/// `&program`).
 ///
 /// [`EngineKind::Par`]: super::EngineKind::Par
 #[derive(Clone)]

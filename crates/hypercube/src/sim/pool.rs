@@ -4,7 +4,7 @@
 //! The compare-split hot path cycles merge buffers at a high rate. A
 //! per-node free list (`ftsort::Scratch`) already makes the warm path
 //! allocation-free on one thread, but each node then warms its own slabs —
-//! on the threaded and parallel engines that is `N` cold starts, and slabs
+//! on the parallel engine that is `N` cold starts, and slabs
 //! idled by finished nodes are stranded. A [`BufferPool`] fixes both: one
 //! global slab store shared by every node of a run, accessed through
 //! per-worker [`PoolHandle`]s that keep a small local free list, so the

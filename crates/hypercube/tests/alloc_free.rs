@@ -63,13 +63,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The counter is process-wide, so the measuring tests must not overlap —
-/// the harness runs `#[test]`s on concurrent threads by default.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+/// The counter is process-wide, so this binary has exactly one `#[test]`
+/// and runs every check from it in sequence. A lock around separate tests
+/// is not enough: the harness spawns the other test threads and reports
+/// finished tests concurrently, and those allocations land inside
+/// whichever window is open.
 #[test]
+fn warm_paths_are_allocation_free() {
+    seq_engine_message_path_is_allocation_free_when_warm();
+    par_engine_message_path_and_buffer_pool_are_allocation_free_when_warm();
+    sched_profiler_records_allocation_free_when_warm();
+    second_run_on_the_same_buffer_pool_starts_warm();
+    warm_metric_recording_is_allocation_free();
+    metered_par_engine_message_path_is_allocation_free_when_warm();
+}
+
 fn seq_engine_message_path_is_allocation_free_when_warm() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Q2 ping-pong across dimension 0, payload ownership bouncing back and
     // forth — the compare-split communication skeleton.
     let cube = Hypercube::new(2);
@@ -108,9 +117,7 @@ fn seq_engine_message_path_is_allocation_free_when_warm() {
     }
 }
 
-#[test]
 fn par_engine_message_path_and_buffer_pool_are_allocation_free_when_warm() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Same Q2 ping-pong on the worker-pool engine, two nodes per worker,
     // with a shared BufferPool slab cycled inside the hot loop. The window
     // spans the full round protocol: worker wake-up, polling, the barrier
@@ -165,9 +172,7 @@ fn par_engine_message_path_and_buffer_pool_are_allocation_free_when_warm() {
     }
 }
 
-#[test]
 fn sched_profiler_records_allocation_free_when_warm() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The par ping-pong again, now with the scheduler profiler attached:
     // every poll/steal/barrier/park transition inside the window records
     // into each worker's preallocated event ring (sized by
@@ -227,9 +232,7 @@ fn sched_profiler_records_allocation_free_when_warm() {
     }
 }
 
-#[test]
 fn second_run_on_the_same_buffer_pool_starts_warm() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cube = Hypercube::new(2);
     let pool: BufferPool<u64> = BufferPool::new();
 
@@ -289,9 +292,7 @@ fn second_run_on_the_same_buffer_pool_starts_warm() {
     run(true);
 }
 
-#[test]
 fn warm_metric_recording_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The live-telemetry contract: registration (install_global) is the
     // cold path and may allocate; recording on already-registered handles
     // is pure atomics. Counters, gauges and histogram records all run
@@ -334,9 +335,7 @@ fn warm_metric_recording_is_allocation_free() {
     );
 }
 
-#[test]
 fn metered_par_engine_message_path_is_allocation_free_when_warm() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The par ping-pong with the global registry *installed*: every
     // engine/barrier/pool telemetry hook fires on the hot path (steals,
     // parks, deliveries, element histograms, stats-pool slab cycles) and

@@ -1,6 +1,7 @@
-//! NCUBE/7-scale MIMD simulation: 64 node threads, message-passing links,
-//! the full diagnose → partition → sort pipeline, and a comparison against
-//! the MFFS baseline — the experiment of the paper's §4 in miniature.
+//! NCUBE/7-scale MIMD simulation: 64 simulated processors on the default
+//! (sequential) engine, message-passing links, the full diagnose →
+//! partition → sort pipeline, and a comparison against the MFFS baseline —
+//! the experiment of the paper's §4 in miniature.
 //!
 //! ```text
 //! cargo run --release --example ncube_simulation [r] [M]

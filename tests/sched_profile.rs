@@ -21,7 +21,9 @@
 //!    rejected.
 
 use ftsort::bitonic::Protocol;
-use ftsort::ftsort::{fault_tolerant_sort_sched, fault_tolerant_sort_streamed, FtConfig, FtPlan};
+use ftsort::ftsort::{
+    fault_tolerant_sort_instrumented, fault_tolerant_sort_streamed, FtConfig, FtPlan,
+};
 use hypercube::fault::FaultSet;
 use hypercube::obs::json::Json;
 use hypercube::obs::perfetto::validate_chrome_trace;
@@ -55,12 +57,13 @@ fn par_config(workers: usize) -> FtConfig {
 /// the installed profile (plus the sorted output for sanity).
 fn profiled_run(plan: &FtPlan, data: Vec<u64>, workers: usize) -> (SchedProfile, Vec<u64>) {
     let profiler = Arc::new(SchedProfiler::new());
-    let (out, _, _) = fault_tolerant_sort_sched(
+    let (out, _, _) = fault_tolerant_sort_instrumented(
         plan,
         &par_config(workers),
         data,
         None,
-        Arc::clone(&profiler),
+        None,
+        Some(Arc::clone(&profiler)),
     );
     let profile = profiler.take().expect("par run installs a profile");
     (profile, out.sorted)
@@ -153,12 +156,13 @@ fn profiling_is_byte_invisible() {
         let dyn_sink: Arc<Mutex<dyn TraceSink>> = sink.clone();
         let (out, _, _) = if profiled {
             let profiler = Arc::new(SchedProfiler::new());
-            let run = fault_tolerant_sort_sched(
+            let run = fault_tolerant_sort_instrumented(
                 &plan,
                 &config,
                 data.clone(),
                 Some(dyn_sink),
-                Arc::clone(&profiler),
+                None,
+                Some(Arc::clone(&profiler)),
             );
             assert!(
                 profiler.take().is_some(),

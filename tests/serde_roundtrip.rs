@@ -20,7 +20,7 @@ use hypercube::topology::Hypercube;
 
 #[test]
 fn engine_kind_display_parse_roundtrip() {
-    for kind in [EngineKind::Threaded, EngineKind::Seq, EngineKind::Par] {
+    for kind in [EngineKind::Seq, EngineKind::Par] {
         let spelled = kind.to_string();
         assert_eq!(
             EngineKind::parse(&spelled),
@@ -34,7 +34,6 @@ fn engine_kind_display_parse_roundtrip() {
 fn engine_kind_accepts_documented_aliases() {
     assert_eq!(EngineKind::parse("seq"), Some(EngineKind::Seq));
     assert_eq!(EngineKind::parse("sequential"), Some(EngineKind::Seq));
-    assert_eq!(EngineKind::parse("threaded"), Some(EngineKind::Threaded));
     assert_eq!(EngineKind::parse("par"), Some(EngineKind::Par));
     assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Par));
     assert_eq!(EngineKind::parse("mpi"), None);
@@ -68,7 +67,7 @@ fn config_types_are_value_types() {
     clone_roundtrip(&Step8Strategy::FullSort);
     clone_roundtrip(&LocalSort::Quicksort);
     clone_roundtrip(&Direction::Descending);
-    clone_roundtrip(&EngineKind::Threaded);
+    clone_roundtrip(&EngineKind::Par);
     let mut stats = RunStats::new();
     stats.record_message(10, 3);
     stats.record_comparisons(7);
