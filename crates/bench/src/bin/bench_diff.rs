@@ -427,8 +427,8 @@ fn main() {
         println!("\nnote: baseline has no kernel section — kernel speedups not gated");
     }
 
-    // Crossover gate: on a multi-core host the work-stealing engine must
-    // beat (or at worst tie, within the band) the sequential engine on
+    // Crossover gate: on a multi-core host the work-stealing pool must
+    // beat (or at worst tie, within the band) the one-worker seq run on
     // big instances with real parallelism available.
     if b.host_cores >= 2 {
         for rb in &b.rows {

@@ -79,7 +79,7 @@ fn run<K: GenKey>(
         let sched_data = obs_flags.sched_enabled().then(|| data.clone());
         let (out, phases, obs) = fault_tolerant_sort_observed(&plan, &config, data);
         if obs_flags.enabled() {
-            obs_flags.observe(obs);
+            obs_flags.observe(obs, engine);
         }
         if let Some(sched_data) = sched_data {
             obs_flags.profile_sched(&plan, &config, sched_data);

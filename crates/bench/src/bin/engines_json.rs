@@ -239,7 +239,7 @@ fn run<K: GenKey>(mut cfg: Cfg) {
             // run, as before the contended row set existed.
             if link_model == LinkModel::Uncontended {
                 if cfg.obs_flags.enabled() {
-                    cfg.obs_flags.observe(obs);
+                    cfg.obs_flags.observe(obs, config.engine);
                 }
                 if cfg.obs_flags.sched_enabled() {
                     let config = FtConfig {
@@ -251,7 +251,7 @@ fn run<K: GenKey>(mut cfg: Cfg) {
             }
             for &workers in &ladder {
                 let (workers_effective, shard_size, _) =
-                    hypercube::sim::par::schedule_for(plan.live_count(), Some(workers), None);
+                    hypercube::sim::par::schedule_for(plan.live_count(), workers);
                 let (par_s, par) = time(EngineKind::Par, Some(workers));
                 // the engines must be indistinguishable in simulated results
                 assert_eq!(

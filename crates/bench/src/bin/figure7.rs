@@ -164,7 +164,7 @@ fn figure7_panel<K: GenKey>(
                 );
                 total += out.time_us;
                 if obs_flags.enabled() {
-                    obs_flags.observe(obs);
+                    obs_flags.observe(obs, engine);
                 }
                 if obs_flags.sched_enabled() {
                     let config = FtConfig {

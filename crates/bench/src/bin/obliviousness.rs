@@ -93,7 +93,7 @@ fn run<K: GenKey>(
         );
         assert_eq!(ours.sorted, expect);
         if obs_flags.enabled() {
-            obs_flags.observe(obs);
+            obs_flags.observe(obs, engine);
         }
         if obs_flags.sched_enabled() {
             let config = FtConfig {

@@ -89,7 +89,7 @@ fn run<K: GenKey>(
             let (out, _, obs) = fault_tolerant_sort_observed(&plan, &config, data.clone());
             ours_ms += out.time_us / 1000.0;
             if obs_flags.enabled() {
-                obs_flags.observe(obs);
+                obs_flags.observe(obs, engine);
             }
             if obs_flags.sched_enabled() {
                 obs_flags.profile_sched(&plan, &config, data.clone());
@@ -150,7 +150,7 @@ fn run<K: GenKey>(
                 let sched_data = obs_flags.sched_enabled().then(|| data.clone());
                 let (out, _, obs) = fault_tolerant_sort_observed(&p, &config, data);
                 if obs_flags.enabled() {
-                    obs_flags.observe(obs);
+                    obs_flags.observe(obs, engine);
                 }
                 if let Some(sched_data) = sched_data {
                     obs_flags.profile_sched(&p, &config, sched_data);

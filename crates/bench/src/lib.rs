@@ -146,7 +146,7 @@ pub struct ObsFlags {
     /// logger ([`hypercube::obs::log`]) at parse time. Pass it *before*
     /// `--log-level` when combining — the first installed writer wins.
     pub log_out: Option<String>,
-    last: Option<hypercube::obs::RunObservation>,
+    last: Option<(hypercube::obs::RunObservation, hypercube::sim::EngineKind)>,
     sched_report: Option<hypercube::obs::sched::SchedReport>,
     sched_perfetto: Option<String>,
     sched_timeline: Option<String>,
@@ -265,9 +265,15 @@ impl ObsFlags {
         self.sched_out.is_some() || self.sched_profile
     }
 
-    /// Remembers `obs` as the run to export (last call wins).
-    pub fn observe(&mut self, obs: hypercube::obs::RunObservation) {
-        self.last = Some(obs);
+    /// Remembers `obs`, run by `engine`, as the run to export (last call
+    /// wins). The engine kind decides the worker count the
+    /// `--metrics-out` report records.
+    pub fn observe(
+        &mut self,
+        obs: hypercube::obs::RunObservation,
+        engine: hypercube::sim::EngineKind,
+    ) {
+        self.last = Some((obs, engine));
     }
 
     /// Runs one extra par-engine sort of `data` with a
@@ -320,7 +326,7 @@ impl ObsFlags {
             println!("metrics snapshot: {path} (ftsort-cli trace-check --prom {path})");
         }
         if self.enabled() {
-            let Some(obs) = &self.last else {
+            let Some((obs, engine)) = &self.last else {
                 eprintln!("--trace-out/--metrics-out: no run was observed");
                 std::process::exit(2);
             };
@@ -334,12 +340,12 @@ impl ObsFlags {
                 let mut report = obs.report(&ftsort::ftsort::phase_name);
                 if let Some(threads) = self.threads {
                     // Record the *effective* schedule next to the request:
-                    // the par engine clamps workers to the shard count
-                    // (`schedule_for`), and reports must not claim more
-                    // workers than ever ran.
+                    // seq runs one worker and par clamps workers to the
+                    // shard count (`schedule_for`), and reports must not
+                    // claim more workers than ever ran.
                     let live = report.nodes.len();
                     let (workers_effective, shard_size, _) =
-                        hypercube::sim::par::schedule_for(live, Some(threads), None);
+                        hypercube::sim::par::schedule_for(live, engine.workers(Some(threads)));
                     report = report
                         .with_threads(threads)
                         .with_schedule(workers_effective, shard_size);

@@ -118,9 +118,10 @@ pub struct FtConfig {
     /// The routing algorithm charging message hops (oracle shortest paths
     /// vs distributed depth-first adaptive routing).
     pub router: hypercube::sim::engine::RouterKind,
-    /// Which execution engine simulates the run: the sequential round/frontier
-    /// scheduler (default) or its work-stealing parallel twin. Both produce
-    /// byte-identical sorted output, virtual times, statistics and traces.
+    /// How the frontier engine runs: at one worker on the calling thread
+    /// ([`EngineKind::Seq`], default) or on a work-stealing worker pool
+    /// ([`EngineKind::Par`]). Both produce byte-identical sorted output,
+    /// virtual times, statistics and traces.
     pub engine: EngineKind,
     /// The link pricing model (uncontended paper model by default; the
     /// contended model serializes messages per directed link and records
@@ -140,14 +141,11 @@ pub struct FtConfig {
     /// recorded; only the event trace is gated, because it is the one
     /// observability channel that allocates on the message hot path.
     pub tracing: bool,
-    /// Worker count for the parallel engine ([`EngineKind::Par`]); `None`
-    /// (default) uses the host's available parallelism. Affects wall-clock
-    /// only — simulated results are byte-identical at any worker count.
+    /// Worker count for [`EngineKind::Par`] (`Seq` always runs one
+    /// worker); `None` (default) uses the host's available parallelism.
+    /// Affects wall-clock only — simulated results are byte-identical at
+    /// any worker count.
     pub threads: Option<usize>,
-    /// Shard size for the parallel engine's work-stealing scheduler;
-    /// `None` (default) sizes shards automatically (~4 per worker).
-    /// Wall-clock only, like [`FtConfig::threads`].
-    pub par_shard: Option<usize>,
 }
 
 /// Why a fault-tolerant sort cannot be planned.
@@ -403,8 +401,9 @@ where
 ///   (poll/steal/park/barrier splits, steal matrix, shard-size histogram)
 ///   into the profiler's mailbox — take the
 ///   [`SchedProfile`](hypercube::obs::sched::SchedProfile) with
-///   [`SchedProfiler::take`] after the call. The seq engine ignores it
-///   (the mailbox stays empty). Profiled *and* streamed shows the sink's
+///   [`SchedProfiler::take`] after the call. An [`EngineKind::Seq`] run is
+///   one worker with no scheduler to profile, so it attaches nothing and
+///   the mailbox stays empty. Profiled *and* streamed shows the sink's
 ///   serial-flush path as coordinator
 ///   [`Serial`](hypercube::obs::sched::SchedCat::Serial) time.
 ///
@@ -480,9 +479,6 @@ where
     }
     if let Some(threads) = config.threads {
         engine = engine.with_workers(threads);
-    }
-    if let Some(shard) = config.par_shard {
-        engine = engine.with_shard_size(shard);
     }
     if let Some(profiler) = profiler {
         engine = engine.with_sched_profiler(profiler);

@@ -11,11 +11,11 @@
 //!   models of the paper's §4.
 //! * [`routing`] — e-cube (VERTEX-style) routing, plus shortest fault-avoiding
 //!   detours for the total-fault model.
-//! * [`sim`] — two interchangeable execution engines for async SPMD node
-//!   programs: a sequential round/frontier scheduler (the default) and a
-//!   work-stealing parallel executor over the same schedule, both with
-//!   identical deterministic virtual-time accounting under the paper's cost
-//!   model ([`cost`]) and operation counters ([`stats`]).
+//! * [`sim`] — one round/frontier execution engine for async SPMD node
+//!   programs, run on the caller's thread (the default) or on a
+//!   work-stealing worker pool, with identical deterministic virtual-time
+//!   accounting under the paper's cost model ([`cost`]) and operation
+//!   counters ([`stats`]) at every worker count.
 //! * [`diagnosis`] — a PMC-style off-line diagnosis stand-in for the fault
 //!   identification step the paper assumes.
 //! * [`embedding`] — Gray-code ring/mesh embeddings (substrate completeness).
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::fault::{FaultModel, FaultSet, Link};
     pub use crate::obs::{RunObservation, RunReport};
     pub use crate::sim::{
-        Comm, Engine, EngineKind, LinkModel, NodeCtx, RouterKind, RunOutcome, SeqEngine, Tag,
+        Comm, Engine, EngineKind, LinkModel, NodeCtx, RouterKind, RunOutcome, Tag,
     };
     pub use crate::stats::RunStats;
     pub use crate::subcube::Subcube;

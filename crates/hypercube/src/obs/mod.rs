@@ -379,9 +379,10 @@ pub struct RunReport {
     /// sort functions always produce — serializes to nothing, keeping
     /// reports byte-identical across worker counts.
     pub threads: Option<usize>,
-    /// The worker count that *actually ran* after the parallel engine's
-    /// shard-count clamp (`schedule_for`), when the caller chose to record
-    /// it ([`RunReport::with_schedule`]). On small cubes this is less than
+    /// The worker count that *actually ran* — one for a seq run, the
+    /// shard-count-clamped request for par (`schedule_for`) — when the
+    /// caller chose to record it ([`RunReport::with_schedule`]). For seq,
+    /// and for par on small cubes, this is less than
     /// [`threads`](RunReport::threads) — reports must not claim more
     /// workers than ever ran. `None` serializes to nothing.
     pub workers_effective: Option<usize>,
@@ -554,7 +555,7 @@ impl RunReport {
         self
     }
 
-    /// Records the parallel engine's *effective* schedule — the worker
+    /// Records the engine's *effective* schedule — the worker
     /// count that actually ran and the shard size after clamping (builder
     /// style). Presentation-layer metadata like
     /// [`with_threads`](Self::with_threads): set by CLIs from

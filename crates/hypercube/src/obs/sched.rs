@@ -1,8 +1,8 @@
-//! Wall-clock scheduler profiler for the work-stealing parallel engine.
+//! Wall-clock scheduler profiler for the work-stealing worker pool.
 //!
 //! Everything else in `obs` measures *virtual* time — the simulated
 //! hypercube. This module measures the *host*: where each worker of
-//! [`ParEngine`] actually spends wall-clock time (polling shards,
+//! [`EngineKind::Par`] run actually spends wall-clock time (polling shards,
 //! delivering commits, stealing, spinning or parked at the barrier, the
 //! coordinator's serial pricing pass), so "why par loses to seq" is a
 //! pinned artifact instead of a guess.
@@ -43,7 +43,7 @@
 //! `trace-check` validates; [`SchedProfile::timeline`] and
 //! [`SchedReport::summary`] render ASCII for terminals.
 //!
-//! [`ParEngine`]: crate::sim::par::ParEngine
+//! [`EngineKind::Par`]: crate::sim::EngineKind::Par
 
 use super::hist::LogHistogram;
 use super::json::Json;

@@ -1,7 +1,7 @@
-//! The machine front door ([`Engine`]) and the per-node context
-//! ([`NodeCtx`]) shared by both executors: the sequential round/frontier
-//! scheduler ([`super::sequential::SeqEngine`]) and the work-stealing pool
-//! ([`super::par::ParEngine`]).
+//! The machine ([`Engine`]) and the per-node context ([`NodeCtx`]) its
+//! node programs run against. Programs execute on the one frontier engine
+//! ([`super::par`]), at one worker on the caller's thread or on a
+//! work-stealing pool.
 //!
 //! Only nodes that are given an input (normal, participating processors)
 //! run a program; faulty and dangling processors stay idle, mirroring the
@@ -11,14 +11,11 @@
 //! ([`crate::routing::hop_count`]), so a detour under the total-fault model
 //! costs more virtual time than the same message under partial faults.
 //!
-//! [`Engine::run`] dispatches on [`EngineKind`] (default
-//! [`EngineKind::Seq`]), so callers pick an executor with
-//! [`Engine::with_engine`] and are guaranteed identical simulated results
-//! either way.
+//! [`Engine::with_engine`] picks the [`EngineKind`] (default
+//! [`EngineKind::Seq`]), which only decides the worker count
+//! ([`EngineKind::workers`]) — simulated results are identical either way.
 
 use super::frontier::CellCtx;
-use super::par::ParEngine;
-use super::sequential::SeqEngine;
 use super::trace::Trace;
 use super::{Comm, EngineKind, LinkModel, Tag};
 use crate::address::NodeId;
@@ -184,9 +181,8 @@ pub(super) fn validate_inputs<K>(faults: &FaultSet, inputs: &[Option<Vec<K>>]) {
 
 /// The per-node communication handle handed to node programs.
 ///
-/// Implements [`Comm`]; created only by the engines. Both executors back
-/// it with the frontier core's per-node cell context, so one generic node
-/// program compiles once and runs on either with byte-identical behavior.
+/// Implements [`Comm`]; created only by the engine, backed by the frontier
+/// core's per-node cell context.
 pub struct NodeCtx<K> {
     me: NodeId,
     cube: Hypercube,
@@ -267,16 +263,15 @@ impl<K> Comm<K> for NodeCtx<K> {
 /// The simulated multicomputer.
 #[derive(Clone)]
 pub struct Engine {
-    faults: Arc<FaultSet>,
-    cost: CostModel,
-    router: RouterKind,
-    link_model: LinkModel,
-    tracing: bool,
-    kind: EngineKind,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    workers: Option<usize>,
-    shard: Option<usize>,
-    sched_profiler: Option<Arc<crate::obs::sched::SchedProfiler>>,
+    pub(super) faults: Arc<FaultSet>,
+    pub(super) cost: CostModel,
+    pub(super) router: RouterKind,
+    pub(super) link_model: LinkModel,
+    pub(super) tracing: bool,
+    pub(super) kind: EngineKind,
+    pub(super) sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    pub(super) workers: Option<usize>,
+    pub(super) sched_profiler: Option<Arc<crate::obs::sched::SchedProfiler>>,
 }
 
 impl Engine {
@@ -292,7 +287,6 @@ impl Engine {
             kind: EngineKind::default(),
             sink: None,
             workers: None,
-            shard: None,
             sched_profiler: None,
         }
     }
@@ -314,8 +308,9 @@ impl Engine {
         self
     }
 
-    /// Selects the executor (builder style). Both executors produce
-    /// identical simulated results; they differ only in wall-clock cost.
+    /// Selects the executor (builder style): one worker on the caller's
+    /// thread, or the work-stealing pool. Both produce identical simulated
+    /// results; they differ only in wall-clock cost.
     pub fn with_engine(mut self, kind: EngineKind) -> Self {
         self.kind = kind;
         self
@@ -344,22 +339,12 @@ impl Engine {
         Engine::new(FaultSet::none(cube), cost)
     }
 
-    /// Sets the parallel executor's worker-pool size (builder style); only
-    /// [`EngineKind::Par`] reads it. Defaults to the host's available
-    /// parallelism. Worker count affects wall-clock only, never simulated
-    /// results.
+    /// Sets the worker-pool size (builder style); only [`EngineKind::Par`]
+    /// reads it ([`EngineKind::workers`]). Defaults to the host's
+    /// available parallelism. Worker count affects wall-clock only, never
+    /// simulated results.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Sets the parallel executor's shard size — how many contiguous
-    /// live-rank nodes form one unit of stealable work (builder style);
-    /// only [`EngineKind::Par`] reads it. Defaults to an automatic size
-    /// targeting ~4 shards per worker. Like the worker count, shard size
-    /// affects wall-clock only, never simulated results.
-    pub fn with_shard_size(mut self, shard: usize) -> Self {
-        self.shard = Some(shard.max(1));
         self
     }
 
@@ -395,38 +380,6 @@ impl Engine {
         self.kind
     }
 
-    pub(super) fn faults_arc(&self) -> Arc<FaultSet> {
-        Arc::clone(&self.faults)
-    }
-
-    pub(super) fn router(&self) -> RouterKind {
-        self.router
-    }
-
-    pub(super) fn link_model(&self) -> LinkModel {
-        self.link_model
-    }
-
-    pub(super) fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    pub(super) fn sink(&self) -> Option<Arc<Mutex<dyn TraceSink>>> {
-        self.sink.clone()
-    }
-
-    pub(super) fn workers(&self) -> Option<usize> {
-        self.workers
-    }
-
-    pub(super) fn shard(&self) -> Option<usize> {
-        self.shard
-    }
-
-    pub(super) fn sched_profiler(&self) -> Option<Arc<crate::obs::sched::SchedProfiler>> {
-        self.sched_profiler.clone()
-    }
-
     /// Runs `program` SPMD on every node for which `inputs` supplies data.
     ///
     /// `inputs[i]` is the initial local data of node `i`; nodes with `None`
@@ -435,18 +388,16 @@ impl Engine {
     /// operation counts — identical for both [`EngineKind`]s.
     ///
     /// # Panics
-    /// Propagates panics from node programs (including deadlock detection)
-    /// and rejects inputs assigned to faulty processors.
+    /// Propagates panics from node programs, rejects inputs assigned to
+    /// faulty processors, and panics immediately (with the wait map) if
+    /// the programs deadlock.
     pub fn run<K, T, F>(&self, inputs: Vec<Option<Vec<K>>>, program: F) -> RunOutcome<T>
     where
         K: Send,
         T: Send,
         F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
     {
-        match self.kind {
-            EngineKind::Seq => SeqEngine::from_engine(self).run(inputs, program),
-            EngineKind::Par => ParEngine::from_engine(self).run(inputs, program),
-        }
+        super::par::run(self, inputs, program)
     }
 }
 
@@ -708,15 +659,62 @@ mod tests {
 
     #[test]
     fn deadlocked_program_panics() {
-        // The frontier scheduler sees no runnable node and panics at once.
-        for eng in all_engines(0) {
+        // The frontier scheduler sees no runnable node and panics at once,
+        // naming every parked node in the wait map.
+        for eng in all_engines(1) {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng.run(vec![Some(vec![0u32])], async |ctx, _| {
-                    // nobody ever sends this: the engine must panic, not hang
-                    ctx.recv(ctx.me(), Tag::new(1)).await
+                eng.run(identity_inputs(1), async |ctx, _| {
+                    // both nodes receive first: a classic cycle — the
+                    // engine must panic, not hang
+                    let partner = ctx.me().neighbor(0);
+                    let got = ctx.recv(partner, Tag::new(3)).await;
+                    ctx.send(partner, Tag::new(3), vec![1u32]);
+                    got
                 });
             }));
-            assert!(result.is_err(), "deadlocked program must panic");
+            let err = *result
+                .expect_err("deadlocked program must panic")
+                .downcast::<String>()
+                .expect("wait-map panic carries a formatted message");
+            assert!(err.contains("deadlock"), "{:?}: {err}", eng.kind());
+            assert!(err.contains("P0"), "{:?}: {err}", eng.kind());
+            assert!(err.contains("P1"), "{:?}: {err}", eng.kind());
+        }
+    }
+
+    #[test]
+    fn virtual_times_reflect_sender_clocks() {
+        // Node 1 does heavy local compute before its send; node 2 sends
+        // immediately. Node 0 receives from both — the virtual times must
+        // reflect each sender's own clock regardless of scheduling order.
+        for eng in all_engines(2) {
+            let mut inputs: Vec<Option<Vec<u32>>> = vec![None; 4];
+            inputs[0] = Some(vec![]);
+            inputs[1] = Some(vec![]);
+            inputs[2] = Some(vec![]);
+            let out = eng.run(inputs, async |ctx, _| match ctx.me().raw() {
+                0 => {
+                    let a = ctx.recv(NodeId::new(1), Tag::new(1)).await;
+                    let b = ctx.recv(NodeId::new(2), Tag::new(2)).await;
+                    (a[0], b[0])
+                }
+                1 => {
+                    ctx.charge_compute(1000.0);
+                    ctx.send(NodeId::new(0), Tag::new(1), vec![10]);
+                    (0, 0)
+                }
+                _ => {
+                    ctx.send(NodeId::new(0), Tag::new(2), vec![20]);
+                    (0, 0)
+                }
+            });
+            assert_eq!(out.node(NodeId::new(0)).unwrap().result, (10, 20));
+            let t0 = out.node(NodeId::new(0)).unwrap().clock;
+            assert!(
+                t0 >= 1000.0,
+                "{:?}: receiver clock {t0} must include the slow sender's compute",
+                eng.kind()
+            );
         }
     }
 

@@ -3,11 +3,11 @@
 //! Algorithms are written SPMD-style: the same *node program* runs on every
 //! normal processor, communicating through the [`Comm`] handle. Node
 //! programs are `async`: a blocked receive suspends the node, which lets
-//! one executor schedule all of them cooperatively on a single thread
-//! ([`sequential::SeqEngine`], the default) and the other share the same
-//! round-by-round ready frontier across a work-stealing worker pool
-//! ([`par::ParEngine`]) — same program, identical simulated results.
-//! [`engine::Engine`] is the front door over both.
+//! one frontier engine ([`par`]) schedule all of them round by round —
+//! on the caller's thread alone ([`EngineKind::Seq`], the default) or
+//! with each round's ready frontier shared across a work-stealing worker
+//! pool ([`EngineKind::Par`]). Same program, same code path, identical
+//! simulated results; [`engine::Engine`] is the only machine type.
 //!
 //! ## Deterministic virtual time
 //!
@@ -25,14 +25,11 @@ pub mod engine;
 mod frontier;
 pub mod par;
 pub mod pool;
-pub mod sequential;
 pub mod trace;
 mod ws;
 
 pub use engine::{Engine, NodeCtx, NodeOutcome, RouterKind, RunOutcome};
-pub use par::ParEngine;
 pub use pool::{BufferPool, PoolCounters, PoolHandle, PoolStats};
-pub use sequential::SeqEngine;
 pub use trace::{Trace, TraceEvent, TraceKind};
 
 use crate::address::NodeId;
@@ -45,24 +42,41 @@ use crate::topology::Hypercube;
     Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
 )]
 pub enum EngineKind {
-    /// Single-threaded run-to-completion cooperative scheduler
-    /// ([`sequential::SeqEngine`]): the ready frontier of node programs is
-    /// polled round by round, with sends delivered at a deterministic
-    /// barrier between rounds. No OS threads, no contended synchronization
-    /// on the hot path — the default.
+    /// The frontier engine ([`par`]) at one worker, on the caller's
+    /// thread: the ready frontier of node programs is polled round by
+    /// round, with sends delivered at a deterministic barrier between
+    /// rounds. No OS threads are spawned and no scheduler profiler is
+    /// attached — the default.
     #[default]
     Seq,
-    /// Work-stealing worker pool ([`par::ParEngine`]): the same
-    /// frontier/barrier schedule as [`EngineKind::Seq`], with each round's
-    /// runnable nodes sharded and claimed from per-worker Chase–Lev deques
-    /// by `available_parallelism` workers (override with
-    /// [`engine::Engine::with_workers`]), and delivery fanned out by
+    /// The same frontier engine on a work-stealing worker pool: each
+    /// round's runnable nodes are sharded and claimed from per-worker
+    /// Chase–Lev deques by `available_parallelism` workers (override with
+    /// [`engine::Engine::with_workers`]), and delivery fans out by
     /// destination shard. Byte-identical to `Seq` — results, reports, run
-    /// files and critical paths — by construction.
+    /// files and critical paths — because it is the same round barrier
+    /// at a different worker count.
     Par,
 }
 
 impl EngineKind {
+    /// The worker count this executor runs with, given the caller's
+    /// request (`--threads`, [`engine::Engine::with_workers`]): `Seq` is
+    /// always one worker; `Par` takes `threads`, or the host's available
+    /// parallelism when unset. The engine and every report that records a
+    /// schedule ([`par::schedule_for`]) resolve workers through this one
+    /// mapping.
+    pub fn workers(self, threads: Option<usize>) -> usize {
+        match self {
+            EngineKind::Seq => 1,
+            EngineKind::Par => threads
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+                })
+                .max(1),
+        }
+    }
+
     /// Parses the CLI spelling (`seq` | `par`).
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s {
@@ -175,8 +189,7 @@ pub trait Comm<K> {
 
     /// Sends `data` to `dst` (non-blocking); the router charges
     /// `hops(me, dst)` links per element. Ownership of the payload moves to
-    /// the receiver — on the sequential engine this is a pointer handoff,
-    /// no copy.
+    /// the receiver — a pointer handoff, no copy.
     fn send(&mut self, dst: NodeId, tag: Tag, data: Vec<K>);
 
     /// Receives the message with tag `tag` from `src`, suspending until it
@@ -283,5 +296,14 @@ mod tests {
         assert_eq!(EngineKind::Seq.to_string(), "seq");
         assert_eq!(EngineKind::Par.to_string(), "par");
         assert_eq!(EngineKind::default(), EngineKind::Seq);
+    }
+
+    #[test]
+    fn engine_kind_resolves_worker_counts() {
+        assert_eq!(EngineKind::Seq.workers(None), 1);
+        assert_eq!(EngineKind::Seq.workers(Some(4)), 1);
+        assert_eq!(EngineKind::Par.workers(Some(4)), 4);
+        assert_eq!(EngineKind::Par.workers(Some(0)), 1);
+        assert!(EngineKind::Par.workers(None) >= 1);
     }
 }

@@ -1,7 +1,13 @@
-//! The parallel frontier engine: a work-stealing scheduler executes each
-//! round's ready frontier — and the round's commit — concurrently, with the
-//! barrier/commit discipline from [`super::frontier`] keeping every
-//! observable byte-identical to the sequential engine.
+//! The frontier engine: the one executor behind [`Engine::run`]. A
+//! work-stealing scheduler executes each round's ready frontier — and the
+//! round's commit — on a pool of workers, with the barrier/commit
+//! discipline from [`super::frontier`] keeping every observable
+//! independent of the worker count.
+//!
+//! [`EngineKind::Seq`] is this engine at one worker: the caller's thread
+//! runs the same phase loop alone and no thread is spawned.
+//! [`EngineKind::Par`] runs it at the requested or host worker count
+//! ([`EngineKind::workers`]).
 //!
 //! ## Execution model
 //!
@@ -26,8 +32,8 @@
 //!    attached or links are contended): walk the round's ran nodes in
 //!    ascending id order, flush their buffered records to the sink and
 //!    price their messages through the [`LinkLedger`] — both are global
-//!    sequencing decisions, so they stay a single-threaded pass in exactly
-//!    the sequential engine's order. (Link pricing cannot fan out by
+//!    sequencing decisions, so they stay a single-threaded pass in
+//!    ascending node-id order. (Link pricing cannot fan out by
 //!    destination: two messages to different destinations can contend for
 //!    the same directed link, so the arbitration order is global, not
 //!    per-partition.)
@@ -53,14 +59,15 @@
 //! (ascending source node, program) order — shards are contiguous ascending
 //! ranges, and the poll loop walks each claimed shard's nodes in ascending
 //! id — and the delivery phase drains sources in ascending shard order, so
-//! every inbox receives exactly the sequence the sequential committer would
-//! have produced, giving the same FIFO receive order and the same
-//! `inbox_peak`. Record flushing and link pricing are global orders and run
-//! single-threaded (phase 2) in the sequential engine's exact sequence.
-//! The three-way differential tests (`tests/engine_diff.rs`,
-//! `tests/ws_stress.rs`, `tests/obs_invariants.rs`) pin this: results,
-//! `RunReport` JSON, run files, Perfetto exports and critical paths match
-//! [`SeqEngine`] byte for byte at every worker count and shard size.
+//! every inbox receives its messages in ascending (source node, program)
+//! order whatever the shard layout, giving the same FIFO receive order and
+//! the same `inbox_peak` at every worker count. Record flushing and link
+//! pricing are global orders and run single-threaded (phase 2) in
+//! ascending node-id order. `tests/engine_diff.rs` pins one- and
+//! multi-worker runs to golden digests, and `tests/ws_stress.rs` and
+//! `tests/obs_invariants.rs` compare them byte for byte: results,
+//! `RunReport` JSON, run files, Perfetto exports and critical paths agree
+//! at every worker count.
 //!
 //! ## Futures migrate between workers
 //!
@@ -73,7 +80,10 @@
 //! across await points): node programs must not hold thread-affine state —
 //! `Rc`, `MutexGuard`s, thread-local handles — across an `.await`.
 //!
-//! [`SeqEngine`]: super::sequential::SeqEngine
+//! [`Engine::run`]: super::Engine::run
+//! [`EngineKind::Seq`]: super::EngineKind::Seq
+//! [`EngineKind::Par`]: super::EngineKind::Par
+//! [`EngineKind::workers`]: super::EngineKind::workers
 //! [`TraceSink`]: crate::obs::sink::TraceSink
 //! [`LinkLedger`]: crate::obs::schedule::LinkLedger
 
@@ -83,11 +93,12 @@ use super::frontier::{
     SimMessage,
 };
 use super::ws::{SenseBarrier, ShardSlot, WsDeque};
+use super::EngineKind;
 use crate::address::NodeId;
 use crate::cost::CostModel;
 use crate::fault::FaultSet;
 use crate::obs::metrics::{self, EngineMetrics, WsMetrics};
-use crate::obs::sched::{SchedCat, SchedProfile, SchedProfiler, WorkerProf};
+use crate::obs::sched::{SchedCat, SchedProfile, WorkerProf};
 use crate::obs::schedule::LinkLedger;
 use crate::obs::sink::TraceSink;
 use crate::sim::{LinkModel, RouterKind};
@@ -103,7 +114,7 @@ use std::time::Instant;
 /// workers so stolen shards can resume on the thief.
 ///
 /// # Safety
-/// Constructed only inside [`ParEngine::run`], where `K: Send` and
+/// Constructed only inside [`run`], where `K: Send` and
 /// `T: Send` hold; the future captures the program reference (`F: Sync`),
 /// a `NodeCtx` (`Arc`s over `Send` state) and the node's `Vec<K>` input.
 /// The residual obligation — documented at the module level — is that node
@@ -201,344 +212,202 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// The parallel frontier engine.
+/// Runs `program` on `engine`'s machine — the body of [`Engine::run`],
+/// at the worker count [`EngineKind::workers`] resolves for the engine's
+/// kind. The caller's thread is worker 0; the others are scoped threads.
 ///
-/// Usually reached through [`Engine::run`] with [`EngineKind::Par`];
-/// constructing a `ParEngine` directly additionally exposes
-/// [`ParEngine::with_workers`] and [`ParEngine::with_shard_size`].
-/// Requires `K`/`T`: [`Send`] and a [`Sync`] program (workers share
-/// `&program`).
-///
-/// [`EngineKind::Par`]: super::EngineKind::Par
-#[derive(Clone)]
-pub struct ParEngine {
-    faults: Arc<FaultSet>,
-    cost: CostModel,
-    router: RouterKind,
-    link_model: LinkModel,
-    tracing: bool,
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
-    workers: usize,
-    shard: Option<usize>,
-    profiler: Option<Arc<SchedProfiler>>,
-}
+/// [`EngineKind::workers`]: super::EngineKind::workers
+pub(super) fn run<K, T, F>(
+    engine: &Engine,
+    inputs: Vec<Option<Vec<K>>>,
+    program: F,
+) -> RunOutcome<T>
+where
+    K: Send,
+    T: Send,
+    F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
+{
+    let cube = engine.cube();
+    validate_inputs(&engine.faults, &inputs);
 
-impl ParEngine {
-    /// Creates a machine over the fault set's topology with the given cost
-    /// model, sized to the host (`std::thread::available_parallelism`).
-    pub fn new(faults: FaultSet, cost: CostModel) -> Self {
-        ParEngine {
-            faults: Arc::new(faults),
-            cost,
-            router: RouterKind::default(),
-            link_model: LinkModel::default(),
-            tracing: false,
-            sink: None,
-            workers: default_workers(),
-            shard: None,
-            profiler: None,
+    if let Some(sink) = &engine.sink {
+        sink.lock().expect("trace sink lock poisoned").begin(
+            cube.dim(),
+            &engine.cost,
+            engine.link_model,
+        );
+    }
+
+    let (cells, participation) =
+        build_cells(&inputs, cube.dim(), engine.tracing, engine.sink.is_some());
+    // Declared before the shards: the shards' futures borrow into the
+    // run context, so on unwind paths they must drop first.
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
+
+    // Shard the participants: contiguous live-rank chunks, so every
+    // shard is an ascending node-id range (the delivery-order proof in
+    // the module docs depends on this).
+    let participants: Vec<usize> = inputs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, slot)| slot.is_some().then_some(i))
+        .collect();
+    let live = participants.len();
+    let workers_req = engine.kind.workers(engine.workers);
+    let (workers, shard_size, shard_count) = schedule_for(live, workers_req);
+    // Only the multi-worker kind has a scheduler worth profiling; a `Seq`
+    // run leaves an attached profiler's mailbox empty.
+    let profiler = match engine.kind {
+        EngineKind::Seq => None,
+        EngineKind::Par => engine.sched_profiler.as_ref(),
+    };
+
+    let mut inputs = inputs;
+    let mut shard_of: Vec<u32> = vec![u32::MAX; cells.len()];
+    let mut slot_of: Vec<u32> = vec![u32::MAX; cells.len()];
+    let mut shards: Vec<ShardSlot<Shard<'_, K, T>>> = Vec::with_capacity(shard_count);
+    for (s, chunk) in participants.chunks(shard_size).enumerate() {
+        let mut tasks = Vec::with_capacity(chunk.len());
+        for (slot, &id) in chunk.iter().enumerate() {
+            shard_of[id] = s as u32;
+            slot_of[id] = slot as u32;
+            tasks.push(TaskState::Fresh(
+                inputs[id].take().expect("participant has input"),
+            ));
         }
+        shards.push(ShardSlot::new(Shard {
+            tasks,
+            runnable: chunk.to_vec(),
+            ran: Vec::with_capacity(chunk.len()),
+            alive: chunk.to_vec(),
+        }));
     }
 
-    /// A fault-free machine.
-    pub fn fault_free(cube: Hypercube, cost: CostModel) -> Self {
-        ParEngine::new(FaultSet::none(cube), cost)
-    }
+    let serial = engine.sink.is_some() || engine.link_model == LinkModel::Contended;
+    let mut sched = Sched {
+        shards,
+        bins: (0..shard_count * shard_count)
+            .map(|_| ShardSlot::new(Vec::new()))
+            .collect(),
+        incoming: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
+        deques: (0..workers).map(|_| WsDeque::new(shard_count)).collect(),
+        barrier: SenseBarrier::new(workers),
+        woken: [AtomicUsize::new(0), AtomicUsize::new(0)],
+        shard_of,
+        slot_of,
+        workers,
+        serial,
+        metrics: metrics::global().map(|g| g.run.engine.clone()),
+        ws: metrics::global().map(|g| g.run.ws.clone()),
+    };
+    let ser = serial.then(|| SerialCtx {
+        sink: engine.sink.clone(),
+        ledger: (engine.link_model == LinkModel::Contended)
+            .then(|| LinkLedger::new(cube.dim(), 1 << cube.dim())),
+        cost: engine.cost,
+        msgs: Vec::new(),
+        recs: Vec::new(),
+    });
+    let program = &program;
+    let env = Env {
+        program,
+        cube,
+        faults: &engine.faults,
+        cost: engine.cost,
+        router: engine.router,
+        cells: &cells,
+        participation: &participation,
+        results: &results,
+    };
 
-    /// Selects the routing algorithm used to charge hops (builder style).
-    pub fn with_router(mut self, router: RouterKind) -> Self {
-        self.router = router;
-        self
-    }
+    // When profiling, every worker gets a preallocated recorder sharing
+    // one clock epoch; recorders ride into the spawn closures and come
+    // back through the join handles, so the hot path stays lock-free
+    // and the disabled path is a single `Option` check per hook.
+    let epoch = Instant::now();
+    let mut profs: Vec<Option<WorkerProf>> = (0..workers)
+        .map(|w| profiler.map(|p| WorkerProf::new(w, workers, epoch, p.ring_capacity())))
+        .collect();
 
-    /// Selects the link pricing model (builder style); see
-    /// [`SeqEngine::with_link_model`].
-    ///
-    /// [`SeqEngine::with_link_model`]: super::sequential::SeqEngine::with_link_model
-    pub fn with_link_model(mut self, link_model: LinkModel) -> Self {
-        self.link_model = link_model;
-        self
-    }
-
-    /// Enables per-event tracing (builder style).
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
-
-    /// Attaches a streaming trace sink (builder style); see [`TraceSink`].
-    pub fn with_trace_sink(mut self, sink: Arc<Mutex<dyn TraceSink>>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Sets the worker-pool size (builder style). Clamped to at least 1 and
-    /// at most the shard count at run time; the pool size affects
-    /// wall-clock only, never simulated results.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the shard size — how many contiguous live-rank nodes form one
-    /// unit of stealable work (builder style). Defaults to an automatic
-    /// size targeting ~4 shards per worker, capped at 64 nodes. Affects
-    /// wall-clock only, never simulated results. Note the engine keeps an
-    /// `S × S` bin matrix over the `S` shards, so very small shards on
-    /// large cubes cost `O(S²)` idle `Vec`s of memory.
-    pub fn with_shard_size(mut self, shard: usize) -> Self {
-        self.shard = Some(shard.max(1));
-        self
-    }
-
-    /// Attaches a scheduler profiler (builder style): the next run records
-    /// per-worker wall-clock telemetry — category switches, steal
-    /// attempts, parks, barrier waits — into the profiler's mailbox as a
-    /// [`SchedProfile`]. Profiling observes the host scheduler only; it
-    /// never changes simulated results (pinned by the byte-identity tests
-    /// in `tests/sched_profile.rs`).
-    pub fn with_sched_profiler(mut self, profiler: Arc<SchedProfiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    pub(super) fn from_engine(engine: &Engine) -> Self {
-        ParEngine {
-            faults: engine.faults_arc(),
-            cost: engine.cost_model(),
-            router: engine.router(),
-            link_model: engine.link_model(),
-            tracing: engine.tracing(),
-            sink: engine.sink(),
-            workers: engine.workers().unwrap_or_else(default_workers).max(1),
-            shard: engine.shard(),
-            profiler: engine.sched_profiler(),
-        }
-    }
-
-    /// The topology.
-    pub fn cube(&self) -> Hypercube {
-        self.faults.cube()
-    }
-
-    /// The fault set.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    /// The cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// The configured worker-pool size (before the run-time clamp).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `program` SPMD on every node for which `inputs` supplies data —
-    /// same contract and byte-identical results as [`SeqEngine::run`], with
-    /// each round's frontier executed on the work-stealing pool.
-    ///
-    /// # Panics
-    /// Propagates node-program panics, rejects inputs assigned to faulty
-    /// processors, and panics immediately (with the wait map) if the
-    /// programs deadlock.
-    ///
-    /// [`SeqEngine::run`]: super::sequential::SeqEngine::run
-    pub fn run<K, T, F>(&self, inputs: Vec<Option<Vec<K>>>, program: F) -> RunOutcome<T>
-    where
-        K: Send,
-        T: Send,
-        F: AsyncFn(&mut NodeCtx<K>, Vec<K>) -> T + Sync,
-    {
-        let cube = self.cube();
-        validate_inputs(&self.faults, &inputs);
-
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock poisoned").begin(
-                cube.dim(),
-                &self.cost,
-                self.link_model,
-            );
-        }
-
-        let (cells, participation) =
-            build_cells(&inputs, cube.dim(), self.tracing, self.sink.is_some());
-        // Declared before the shards: the shards' futures borrow into the
-        // run context, so on unwind paths they must drop first.
-        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
-
-        // Shard the participants: contiguous live-rank chunks, so every
-        // shard is an ascending node-id range (the delivery-order proof in
-        // the module docs depends on this).
-        let participants: Vec<usize> = inputs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_some().then_some(i))
-            .collect();
-        let live = participants.len();
-        let workers_req = self.workers.max(1);
-        let (workers, shard_size, shard_count) = schedule_for(live, Some(workers_req), self.shard);
-
-        let mut inputs = inputs;
-        let mut shard_of: Vec<u32> = vec![u32::MAX; cells.len()];
-        let mut slot_of: Vec<u32> = vec![u32::MAX; cells.len()];
-        let mut shards: Vec<ShardSlot<Shard<'_, K, T>>> = Vec::with_capacity(shard_count);
-        for (s, chunk) in participants.chunks(shard_size).enumerate() {
-            let mut tasks = Vec::with_capacity(chunk.len());
-            for (slot, &id) in chunk.iter().enumerate() {
-                shard_of[id] = s as u32;
-                slot_of[id] = slot as u32;
-                tasks.push(TaskState::Fresh(
-                    inputs[id].take().expect("participant has input"),
-                ));
-            }
-            shards.push(ShardSlot::new(Shard {
-                tasks,
-                runnable: chunk.to_vec(),
-                ran: Vec::with_capacity(chunk.len()),
-                alive: chunk.to_vec(),
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers.saturating_sub(1));
+        for (w, slot) in profs.iter_mut().enumerate().skip(1) {
+            let mut prof = slot.take();
+            let (sched, env) = (&sched, &env);
+            handles.push(scope.spawn(move || {
+                worker_loop(w, sched, env, None, prof.as_mut());
+                if let Some(p) = prof.as_mut() {
+                    p.finish();
+                }
+                prof
             }));
         }
-
-        let serial = self.sink.is_some() || self.link_model == LinkModel::Contended;
-        let mut sched = Sched {
-            shards,
-            bins: (0..shard_count * shard_count)
-                .map(|_| ShardSlot::new(Vec::new()))
-                .collect(),
-            incoming: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
-            deques: (0..workers).map(|_| WsDeque::new(shard_count)).collect(),
-            barrier: SenseBarrier::new(workers),
-            woken: [AtomicUsize::new(0), AtomicUsize::new(0)],
-            shard_of,
-            slot_of,
-            workers,
-            serial,
-            metrics: metrics::global().map(|g| g.run.engine.clone()),
-            ws: metrics::global().map(|g| g.run.ws.clone()),
-        };
-        let ser = serial.then(|| SerialCtx {
-            sink: self.sink.clone(),
-            ledger: (self.link_model == LinkModel::Contended)
-                .then(|| LinkLedger::new(cube.dim(), 1 << cube.dim())),
-            cost: self.cost,
-            msgs: Vec::new(),
-            recs: Vec::new(),
-        });
-        let program = &program;
-        let env = Env {
-            program,
-            cube,
-            faults: &self.faults,
-            cost: self.cost,
-            router: self.router,
-            cells: &cells,
-            participation: &participation,
-            results: &results,
-        };
-
-        // When profiling, every worker gets a preallocated recorder sharing
-        // one clock epoch; recorders ride into the spawn closures and come
-        // back through the join handles, so the hot path stays lock-free
-        // and the disabled path is a single `Option` check per hook.
-        let epoch = Instant::now();
-        let mut profs: Vec<Option<WorkerProf>> = (0..workers)
-            .map(|w| {
-                self.profiler
-                    .as_ref()
-                    .map(|p| WorkerProf::new(w, workers, epoch, p.ring_capacity()))
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers.saturating_sub(1));
-            for (w, slot) in profs.iter_mut().enumerate().skip(1) {
-                let mut prof = slot.take();
-                let (sched, env) = (&sched, &env);
-                handles.push(scope.spawn(move || {
-                    worker_loop(w, sched, env, None, prof.as_mut());
-                    if let Some(p) = prof.as_mut() {
-                        p.finish();
-                    }
-                    prof
-                }));
-            }
-            // The caller is worker 0: the coordinator for the serial flush
-            // phase and the `woken` slot resets.
-            let mut prof0 = profs[0].take();
-            worker_loop(0, &sched, &env, ser, prof0.as_mut());
-            if let Some(p) = prof0.as_mut() {
-                p.finish();
-            }
-            profs[0] = prof0;
-            // Join explicitly to recover the recorders; a panicked worker
-            // surfaces as the scope would have surfaced it — first payload
-            // re-raised after every handle is joined.
-            let mut first_panic = None;
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(prof) => profs[w + 1] = prof,
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
+        // The caller is worker 0: the coordinator for the serial flush
+        // phase and the `woken` slot resets.
+        let mut prof0 = profs[0].take();
+        worker_loop(0, &sched, &env, ser, prof0.as_mut());
+        if let Some(p) = prof0.as_mut() {
+            p.finish();
+        }
+        profs[0] = prof0;
+        // Join explicitly to recover the recorders; a panicked worker
+        // surfaces as the scope would have surfaced it — first payload
+        // re-raised after every handle is joined.
+        let mut first_panic = None;
+        for (w, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(prof) => profs[w + 1] = prof,
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
                 }
             }
-            if let Some(payload) = first_panic {
-                std::panic::resume_unwind(payload);
-            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
+    });
+
+    if let Some(profiler) = profiler {
+        let workers_prof: Vec<WorkerProf> = profs.into_iter().flatten().collect();
+        if let Some(g) = metrics::global() {
+            let events: u64 = workers_prof.iter().map(|p| p.events().len() as u64).sum();
+            let dropped: u64 = workers_prof.iter().map(WorkerProf::dropped).sum();
+            g.run.sched.ring_events.set(events as i64);
+            g.run.sched.events_dropped.add(dropped);
+        }
+        profiler.install(SchedProfile {
+            workers_requested: workers_req,
+            workers,
+            shard_size,
+            shard_count,
+            live_nodes: live,
+            serial,
+            workers_prof,
         });
-
-        if let Some(profiler) = &self.profiler {
-            let workers_prof: Vec<WorkerProf> = profs.into_iter().flatten().collect();
-            if let Some(g) = metrics::global() {
-                let events: u64 = workers_prof.iter().map(|p| p.events().len() as u64).sum();
-                let dropped: u64 = workers_prof.iter().map(WorkerProf::dropped).sum();
-                g.run.sched.ring_events.set(events as i64);
-                g.run.sched.events_dropped.add(dropped);
-            }
-            profiler.install(SchedProfile {
-                workers_requested: workers_req,
-                workers,
-                shard_size,
-                shard_count,
-                live_nodes: live,
-                serial,
-                workers_prof,
-            });
-        }
-
-        let remaining: usize = sched
-            .shards
-            .iter_mut()
-            .map(|s| s.get_mut().alive.len())
-            .sum();
-        if remaining > 0 {
-            deadlock_panic(&cells, remaining);
-        }
-        // The shards hold the node futures, whose lifetime is unified with
-        // the `env` borrows of `cells`/`results`; drop them before moving
-        // either out.
-        drop(sched);
-
-        let results = results.into_inner().unwrap_or_else(|e| e.into_inner());
-        collect_run(
-            cells,
-            results,
-            &self.sink,
-            cube.dim(),
-            self.cost,
-            self.link_model,
-        )
     }
-}
 
-/// The host's available parallelism (at least 1).
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1)
+    let remaining: usize = sched
+        .shards
+        .iter_mut()
+        .map(|s| s.get_mut().alive.len())
+        .sum();
+    if remaining > 0 {
+        deadlock_panic(&cells, remaining);
+    }
+    // The shards hold the node futures, whose lifetime is unified with
+    // the `env` borrows of `cells`/`results`; drop them before moving
+    // either out.
+    drop(sched);
+
+    let results = results.into_inner().unwrap_or_else(|e| e.into_inner());
+    collect_run(
+        cells,
+        results,
+        &engine.sink,
+        cube.dim(),
+        engine.cost,
+        engine.link_model,
+    )
 }
 
 /// Automatic shard size: ~4 shards per worker for steal granularity,
@@ -547,24 +416,20 @@ fn auto_shard_size(live: usize, workers: usize) -> usize {
     live.div_ceil(workers * 4).clamp(1, 64)
 }
 
-/// The effective schedule for `live` participating nodes: the
-/// `(workers, shard_size, shard_count)` triple [`ParEngine::run`] uses
-/// after clamping — `workers` defaults to the host parallelism and is
-/// capped by the shard count, `shard_size` defaults to
-/// ~4 shards per worker capped at 64 nodes. Exposed so reports
-/// ([`RunReport::workers_effective`], `engines_json` rows) can record the
-/// schedule a run actually executed rather than what was requested.
+/// The effective schedule for `live` participating nodes run by
+/// `workers` requested workers (resolve them with
+/// [`EngineKind::workers`]): the `(workers, shard_size, shard_count)`
+/// triple [`Engine::run`] uses after clamping — `shard_size` is
+/// `auto_shard_size` and `workers` is capped by the shard count.
+/// Exposed so reports ([`RunReport::workers_effective`], `engines_json`
+/// rows) can record the schedule a run actually executed rather than what
+/// was requested.
 ///
+/// [`EngineKind::workers`]: super::EngineKind::workers
 /// [`RunReport::workers_effective`]: crate::obs::RunReport::workers_effective
-pub fn schedule_for(
-    live: usize,
-    workers: Option<usize>,
-    shard: Option<usize>,
-) -> (usize, usize, usize) {
-    let workers_req = workers.unwrap_or_else(default_workers).max(1);
-    let shard_size = shard
-        .map(|s| s.max(1))
-        .unwrap_or_else(|| auto_shard_size(live, workers_req));
+pub fn schedule_for(live: usize, workers: usize) -> (usize, usize, usize) {
+    let workers_req = workers.max(1);
+    let shard_size = auto_shard_size(live, workers_req);
     let shard_count = live.div_ceil(shard_size);
     let workers = workers_req.min(shard_count).max(1);
     (workers, shard_size, shard_count)
@@ -593,8 +458,8 @@ fn worker_loop<'a, K, T, F>(
     let shard_count = sched.shards.len();
     let mut r: usize = 0;
     loop {
-        // The coordinator counts the round — once, matching the sequential
-        // committer's one `rounds` tick per commit.
+        // The coordinator counts the round — one `rounds` tick per
+        // commit, whatever the worker count.
         if w == 0 {
             if let Some(m) = &sched.metrics {
                 m.rounds.inc();
@@ -816,8 +681,8 @@ where
 }
 
 /// Phase 2, coordinator only: flush records and price messages for the
-/// round's ran nodes in ascending node-id order — the sequential engine's
-/// exact sequence — binning each priced message for parallel delivery.
+/// round's ran nodes in ascending node-id order — the one global commit
+/// sequence — binning each priced message for parallel delivery.
 fn serial_flush<K, T>(ser: &mut SerialCtx<K>, sched: &Sched<'_, K, T>, cells: &[SharedCell<K>]) {
     let shard_count = sched.shards.len();
     for s in 0..shard_count {

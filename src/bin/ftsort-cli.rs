@@ -389,10 +389,12 @@ fn run_sort<K: ftsort::seq::Key>(
     if let Some(path) = metrics_out {
         let mut report = obs.report(&phase_name).with_key_type(key_type.as_str());
         if let Some(threads) = threads {
-            // Record the effective schedule too: the par engine clamps the
-            // worker count to the shard count (`schedule_for`).
-            let (workers_effective, shard_size, _) =
-                hypercube::sim::par::schedule_for(report.nodes.len(), Some(threads), None);
+            // Record the schedule that actually ran: seq is one worker,
+            // and par clamps the worker count to the shard count.
+            let (workers_effective, shard_size, _) = hypercube::sim::par::schedule_for(
+                report.nodes.len(),
+                engine.workers(Some(threads)),
+            );
             report = report
                 .with_threads(threads)
                 .with_schedule(workers_effective, shard_size);
@@ -423,8 +425,8 @@ fn run_sort<K: ftsort::seq::Key>(
                 print!("{}", report.summary());
                 print!("{}", profile.timeline(64));
             }
-            // Only the par engine has a work-stealing scheduler; other
-            // engines ignore the profiler, so the flag had no effect.
+            // A seq run is one worker with no scheduler to profile, so
+            // the engine attached nothing and the flag had no effect.
             None => println!(
                 "sched profile  : no scheduler to profile (--sched-profile needs --engine par)"
             ),

@@ -849,3 +849,46 @@ fn sort_key_type_is_result_invariant_across_engines() {
         assert_eq!(run("seq"), run("par"), "--key-type {key_type}");
     }
 }
+
+#[test]
+fn sort_metrics_report_records_the_workers_that_ran() {
+    // `--threads` is a request: a seq run is one worker whatever was
+    // asked, and the report's effective schedule must say so, while par
+    // reports the requested pool (clamped to the shard count).
+    let dir = std::env::temp_dir();
+    for (engine, workers) in [("seq", 1usize), ("par", 4)] {
+        let report = dir.join(format!("ftsort_cli_schedule_{engine}.json"));
+        let out = cli()
+            .args([
+                "sort",
+                "--n",
+                "6",
+                "--faults",
+                "3,17",
+                "--m",
+                "2000",
+                "--engine",
+                engine,
+                "--threads",
+                "4",
+                "--metrics-out",
+                report.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = std::fs::read_to_string(&report).expect("report written");
+        let _ = std::fs::remove_file(&report);
+        let parsed = hypercube::obs::RunReport::from_json(&json).expect("report parses");
+        let live = parsed.nodes.len();
+        assert_eq!(live, 62, "Q6 minus two faults, no dangling nodes");
+        assert_eq!(parsed.threads, Some(4), "{engine}: {json}");
+        assert_eq!(parsed.workers_effective, Some(workers), "{engine}: {json}");
+        let (_, shard_size, _) = hypercube::sim::par::schedule_for(live, workers);
+        assert_eq!(parsed.shard_size, Some(shard_size), "{engine}: {json}");
+    }
+}

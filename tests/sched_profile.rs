@@ -138,7 +138,7 @@ fn profile_records_effective_schedule_after_clamp() {
     assert_eq!(profile.workers_prof.len(), 3);
     // schedule_for is the single source of truth the reports reuse.
     assert_eq!(
-        hypercube::sim::par::schedule_for(plan.live_count(), Some(8), None),
+        hypercube::sim::par::schedule_for(plan.live_count(), 8),
         (3, 1, 3)
     );
 }
